@@ -50,10 +50,8 @@ class ClassifyConfig:
     epsilon: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError("classification is specified for odd primes only")
-        squares = {(k * k) % self.p for k in range(1, self.p)}
-        if self.epsilon % self.p in squares or self.epsilon % self.p == 0:
+        least_nonresidue(self.p)  # rejects any p that is not an odd prime
+        if not _is_nonresidue(self.epsilon, self.p):
             raise ValueError(f"{self.epsilon} is a square modulo {self.p}")
 
     @classmethod
@@ -69,12 +67,16 @@ class ClassifyConfig:
         return ModulusProfile(self.p, SHAPE_ELEMENTARY)
 
 
+def _is_nonresidue(n: int, p: int) -> bool:
+    """Euler's criterion: n is a quadratic nonresidue modulo the odd prime p."""
+    return pow(n, (p - 1) // 2, p) == p - 1
+
+
 def least_nonresidue(p: int) -> int:
     """Least positive quadratic nonresidue modulo an odd prime."""
     if not is_prime(p) or p == 2:
-        raise ValueError("nonresidues require an odd prime")
-    squares = {(k * k) % p for k in range(1, p)}
-    return next(n for n in range(2, p) if n not in squares)
+        raise ValueError(f"p must be an odd prime, got p={p}")
+    return next(n for n in range(2, p) if _is_nonresidue(n, p))
 
 
 def tau_catalog(cfg: ClassifyConfig) -> list[tuple[str, MixedModulusMatrix]]:
@@ -261,21 +263,6 @@ class ClassificationResult:
         }
 
 
-class _OracleCache:
-    """Memoized isomorphism calls keyed by group identity."""
-
-    def __init__(self) -> None:
-        self._memo: dict[tuple[int, int], bool] = {}
-
-    def same_class(self, a: FiniteGroup, b: FiniteGroup) -> bool:
-        key = (id(a), id(b))
-        if key not in self._memo:
-            ok, _ = isomorphic(a, b)
-            self._memo[key] = ok
-            self._memo[(id(b), id(a))] = ok
-        return self._memo[key]
-
-
 def classify_p4(cfg: ClassifyConfig) -> ClassificationResult:
     """Run the full classification for one odd prime.
 
@@ -287,7 +274,14 @@ def classify_p4(cfg: ClassifyConfig) -> ClassificationResult:
     """
     cands = sorted(candidate_types(cfg), key=lambda c: c.label)
     built = {c.label: build_group(c.ext) for c in cands}
-    oracle = _OracleCache()
+    verdicts: dict[tuple[str, str], bool] = {}
+
+    def same_class(a: str, b: str) -> bool:
+        # Memoized by label: the one exhaustive negative search of the merge
+        # loop comes back in the final pairwise certification.
+        if (a, b) not in verdicts:
+            verdicts[a, b] = verdicts[b, a] = isomorphic(built[a], built[b])[0]
+        return verdicts[a, b]
 
     class_members: list[list[CandidateType]] = []
     for cand in cands:
@@ -296,7 +290,7 @@ def classify_p4(cfg: ClassifyConfig) -> ClassificationResult:
         placed = False
         for members in class_members:
             rep_group = built[members[0].label]
-            if fingerprint(rep_group) == fp and oracle.same_class(rep_group, group):
+            if fingerprint(rep_group) == fp and same_class(members[0].label, cand.label):
                 members.append(cand)
                 placed = True
                 break
@@ -336,6 +330,7 @@ def classify_p4(cfg: ClassifyConfig) -> ClassificationResult:
 
     abelian = abelian_catalog(cfg)
     for label, _, group in abelian:
+        built[label] = group
         classes.append(
             GroupClass(
                 label=label,
@@ -352,7 +347,7 @@ def classify_p4(cfg: ClassifyConfig) -> ClassificationResult:
 
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            if oracle.same_class(classes[i].group, classes[j].group):
+            if same_class(classes[i].label, classes[j].label):
                 raise ClassificationError(
                     f"classes {classes[i].label} and {classes[j].label} are isomorphic"
                 )

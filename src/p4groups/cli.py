@@ -21,7 +21,6 @@ from .classify import (
 )
 from .extension import ExtensionType, build_group, validate_type
 from .groups import FiniteGroup, fingerprint, isomorphic, order_census
-from .residues import is_prime
 from .verification import run_verification_suite
 
 EXIT_OK = 0
@@ -32,36 +31,61 @@ EXIT_NOT_ISOMORPHIC = 3
 CLASSIFY_GUARD = 7  # oracle-based dedup above 7^4 elements is not desk-scale
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+class CliError(Exception):
+    """Ends a command with one ``error:`` line on stderr and the given exit code."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
 
 
-def _check_odd_prime(p: int) -> Optional[str]:
-    if not is_prime(p):
-        return f"p must be prime, got {p}"
-    if p == 2:
-        return "classification is specified for odd primes only"
-    return None
+def _guarded_config(args: argparse.Namespace) -> ClassifyConfig:
+    """Config for ``--p`` of classify, tables and verify, behind the p guard.
+
+    The guard comes first, so an oversized ``--p`` is rejected before any
+    primality or residue work is done on it.
+    """
+    if args.p > CLASSIFY_GUARD and not args.force:
+        raise CliError(
+            f"{args.command} above p={CLASSIFY_GUARD} exceeds the runtime guard; "
+            "pass --force to run anyway",
+            EXIT_USAGE,
+        )
+    try:
+        return ClassifyConfig.for_prime(args.p)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from exc
 
 
-def _load_type(path: str) -> ExtensionType:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return ExtensionType.from_json_dict(data)
+def _guarded_group(path: str, force: bool) -> FiniteGroup:
+    """Load, validate and build the group of a type file, behind the size guard."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            ext = ExtensionType.from_json_dict(json.load(fh))
+    except (OSError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}", EXIT_FAILURE) from exc
+    diag = validate_type(ext)
+    if diag is not None:
+        raise CliError(f"invalid extension type in {path}: {diag}", EXIT_FAILURE)
+    if ext.group_order > CLASSIFY_GUARD ** 4 and not force:
+        raise CliError(
+            f"materializing a group of order {ext.group_order} exceeds the "
+            "runtime guard; pass --force to run anyway",
+            EXIT_USAGE,
+        )
+    return build_group(ext)
+
+
+def _csv_cell(value: object) -> str:
+    if isinstance(value, list):
+        return "|".join(map(str, value))
+    return str(value).lower()
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    msg = _check_odd_prime(args.p)
-    if msg:
-        return _usage_error(msg)
-    if args.p > CLASSIFY_GUARD and not args.force:
-        return _usage_error(
-            f"classification above p={CLASSIFY_GUARD} exceeds the runtime guard; "
-            "pass --force to run anyway"
-        )
+    cfg = _guarded_config(args)
     try:
-        result = classify_p4(ClassifyConfig.for_prime(args.p))
+        result = classify_p4(cfg)
     except ClassificationError as exc:
         print(f"classification failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -69,25 +93,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(result.to_json_dict(), indent=2))
     elif args.format == "csv":
-        fields = [
-            "label", "group_order", "center_invariants", "census_le_p",
-            "derived_order", "abelianization_invariants", "exponent",
-            "power_quotient_abelian", "low_order_commute",
-        ]
-        print(",".join(fields))
-        for cls in result.classes:
-            fp = cls.fingerprint
-            print(",".join([
-                cls.label,
-                str(fp.group_order),
-                "|".join(map(str, fp.center_invariants)),
-                str(fp.census_le_p),
-                str(fp.derived_order),
-                "|".join(map(str, fp.abelianization_invariants)),
-                str(fp.exponent),
-                str(fp.power_quotient_abelian).lower(),
-                str(fp.low_order_commute).lower(),
-            ]))
+        rows = [(cls.label, cls.fingerprint.to_json_dict()) for cls in result.classes]
+        print(",".join(["label", *rows[0][1]]))
+        for label, fp in rows:
+            print(",".join([label, *map(_csv_cell, fp.values())]))
     else:
         print(f"groups of order {args.p}^4 = {args.p ** 4}")
         for cls in result.classes:
@@ -107,25 +116,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        ext = _load_type(args.type)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    diag = validate_type(ext)
-    if diag is not None:
-        print(f"invalid extension type: {diag}", file=sys.stderr)
-        return EXIT_FAILURE
-    if ext.group_order > CLASSIFY_GUARD ** 4 and not args.force:
-        return _usage_error(
-            f"materializing a group of order {ext.group_order} exceeds the "
-            "runtime guard; pass --force to run anyway"
-        )
-    group = build_group(ext)
+    group = _guarded_group(args.type, args.force)
 
     out = sys.stdout
     if args.out:
-        out = open(args.out, "w", encoding="utf-8")
+        try:
+            out = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise CliError(str(exc), EXIT_FAILURE) from exc
     try:
         if args.emit == "cayley":
             print(group.size, file=out)
@@ -142,38 +140,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_iso(args: argparse.Namespace) -> int:
-    groups: list[FiniteGroup] = []
-    for path in (args.file_a, args.file_b):
-        try:
-            ext = _load_type(path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
-        diag = validate_type(ext)
-        if diag is not None:
-            print(f"invalid extension type in {path}: {diag}", file=sys.stderr)
-            return EXIT_FAILURE
-        if ext.group_order > CLASSIFY_GUARD ** 4 and not args.force:
-            return _usage_error(
-                f"materializing a group of order {ext.group_order} exceeds the "
-                "runtime guard; pass --force to run anyway"
-            )
-        groups.append(build_group(ext))
+    groups = [_guarded_group(path, args.force) for path in (args.file_a, args.file_b)]
     ok, witness = isomorphic(groups[0], groups[1])
     print(json.dumps({"isomorphic": ok, "witness": witness}))
     return EXIT_OK if ok else EXIT_NOT_ISOMORPHIC
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    msg = _check_odd_prime(args.p)
-    if msg:
-        return _usage_error(msg)
-    if args.p > CLASSIFY_GUARD and not args.force:
-        return _usage_error(
-            f"table verification above p={CLASSIFY_GUARD} exceeds the runtime "
-            "guard; pass --force to run anyway"
-        )
-    cfg = ClassifyConfig.for_prime(args.p)
+    cfg = _guarded_config(args)
     print(render_table1(cfg))
     print()
     print(render_table2(cfg))
@@ -181,15 +155,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    msg = _check_odd_prime(args.p)
-    if msg:
-        return _usage_error(msg)
-    if args.p > CLASSIFY_GUARD and not args.force:
-        return _usage_error(
-            f"verification above p={CLASSIFY_GUARD} exceeds the runtime guard; "
-            "pass --force to run anyway"
-        )
-    cfg = ClassifyConfig.for_prime(args.p)
+    cfg = _guarded_config(args)
     results = run_verification_suite(cfg, seed=args.seed)
     failed = 0
     for check in results:
@@ -251,7 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 def entry() -> None:

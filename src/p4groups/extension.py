@@ -67,14 +67,24 @@ class ExtensionType:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExtensionType":
+        """Parse a type record; p, n and every tau and v entry must be JSON
+        integers (not floats or booleans), else ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("extension type record must be a JSON object")
         try:
-            profile = ModulusProfile(int(data["p"]), str(data["shape"]))
-            n = int(data["n"])
-            tau = MixedModulusMatrix(tuple(tuple(row) for row in data["tau"]), profile)
-            v = AbelianElement(tuple(data["v"]), profile)
+            profile = ModulusProfile(_json_int(data["p"], "p"), data["shape"])
+            n = _json_int(data["n"], "n")
+            tau = tuple(tuple(_json_int(x, "tau entry") for x in row) for row in data["tau"])
+            v = tuple(_json_int(x, "v entry") for x in data["v"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed extension type record: {exc}") from exc
-        return cls(profile, n, tau, v)
+        return cls(profile, n, MixedModulusMatrix(tau, profile), AbelianElement(v, profile))
+
+
+def _json_int(value: object, what: str) -> int:
+    if type(value) is not int:  # bool is a subclass of int
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

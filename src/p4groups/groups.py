@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
-from .residues import invariant_factors_from_orders, prime_factors
+from .residues import _greedy_generating_set, invariant_factors_from_orders, prime_factors
 
 
 def least_prime_factor(n: int) -> int:
@@ -52,13 +52,6 @@ class FiniteGroup:
         self.labels = list(labels) if labels is not None else None
         self.payloads = list(payloads) if payloads is not None else None
         self.name = name
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], **kwargs) -> "FiniteGroup":
-        flat: list[int] = []
-        for row in rows:
-            flat.extend(row)
-        return cls(flat, len(rows), **kwargs)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(name={self.name!r}, size={self.size})"
@@ -138,27 +131,7 @@ class FiniteGroup:
     def generating_sequence(self) -> tuple[int, ...]:
         """Greedy generating sequence (highest order first), pruned so that no
         member is redundant; irredundant sets in p-groups have minimal size."""
-        n = self.size
-        if n == 1:
-            return ()
-        orders = self.element_orders
-        preference = sorted(range(n), key=lambda i: (-orders[i], i))
-        gens: list[int] = []
-        closure = {self.identity_index}
-        while len(closure) < n:
-            nxt = next(i for i in preference if i not in closure)
-            gens.append(nxt)
-            closure = set(self.closure(gens))
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(gens)):
-                rest = gens[:i] + gens[i + 1 :]
-                if rest and len(self.closure(rest)) == n:
-                    gens = rest
-                    changed = True
-                    break
-        return tuple(gens)
+        return _small_generating_subset(self, range(self.size))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -361,29 +334,13 @@ def center(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, central, small)
 
 
-def _small_generating_subset(g: FiniteGroup, elements: tuple[int, ...]) -> tuple[int, ...]:
+def _small_generating_subset(g: FiniteGroup, elements: Sequence[int]) -> tuple[int, ...]:
     """Greedy+pruned generating subset of a known subgroup's element list."""
-    target = len(elements)
-    if target <= 1:
-        return ()
     orders = g.element_orders
     preference = sorted(elements, key=lambda i: (-orders[i], i))
-    gens: list[int] = []
-    closure = {g.identity_index}
-    while len(closure) < target:
-        nxt = next(i for i in preference if i not in closure)
-        gens.append(nxt)
-        closure = set(g.closure(gens))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(gens)):
-            rest = gens[:i] + gens[i + 1 :]
-            if rest and len(g.closure(rest)) == target:
-                gens = rest
-                changed = True
-                break
-    return tuple(gens)
+    return tuple(
+        _greedy_generating_set(preference, len(elements), lambda gens: set(g.closure(gens)))
+    )
 
 
 def derived_subgroup(g: FiniteGroup) -> Subgroup:
@@ -483,16 +440,6 @@ class Fingerprint:
     exponent: int
     power_quotient_abelian: bool
     low_order_commute: bool
-
-    def sort_key(self) -> tuple:
-        return (
-            self.group_order,
-            self.derived_order,
-            self.center_invariants,
-            self.census_le_p,
-            self.power_quotient_abelian,
-            self.low_order_commute,
-        )
 
     def to_json_dict(self) -> dict:
         return {

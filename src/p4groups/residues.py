@@ -364,47 +364,53 @@ def invariant_factors_from_orders(orders: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(chain))
 
 
-def _span(generators: Sequence[AbelianElement], profile: ModulusProfile) -> set[AbelianElement]:
-    zero = profile.zero()
-    seen = {zero}
-    queue = [zero]
-    while queue:
-        x = queue.pop()
-        for g in generators:
-            y = x + g
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+def _greedy_generating_set(preference: Sequence, target: int, span) -> list:
+    """Greedy generating set of a (sub)group of order ``target``, pruned so
+    that no member is redundant.
+
+    Each step adds the first element of ``preference`` not yet in
+    ``span(gens)``.  Dropping a member never makes an earlier one redundant,
+    so one pass of pruning suffices.  Irredundant generating sets of a finite
+    p-group all have the minimal size.
+    """
+    if target <= 1:
+        return []
+    gens: list = []
+    closure = span(gens)
+    while len(closure) < target:
+        gens.append(next(x for x in preference if x not in closure))
+        closure = span(gens)
+    i = 0
+    while i < len(gens):
+        rest = gens[:i] + gens[i + 1 :]
+        if len(span(rest)) == target:
+            gens = rest
+        else:
+            i += 1
+    return gens
 
 
 def minimal_generating_set(
     elements: Sequence[AbelianElement], profile: ModulusProfile
 ) -> tuple[AbelianElement, ...]:
-    """Greedy minimal generating set: highest order first, then pruned.
+    """Minimal generating set (highest order first, then pruned), listed with
+    the largest coordinates first."""
 
-    Pruning makes the set irredundant, and irredundant generating sets of a
-    finite p-group all have the minimal size.
-    """
-    target = len(elements)
-    if target <= 1:
-        return ()
+    def span(generators: Sequence[AbelianElement]) -> set[AbelianElement]:
+        zero = profile.zero()
+        seen = {zero}
+        queue = [zero]
+        while queue:
+            x = queue.pop()
+            for g in generators:
+                y = x + g
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        return seen
+
     by_preference = sorted(elements, key=lambda e: (-e.order(), e.coords))
-    gens: list[AbelianElement] = []
-    closure: set[AbelianElement] = {profile.zero()}
-    while len(closure) < target:
-        nxt = next(e for e in by_preference if e not in closure)
-        gens.append(nxt)
-        closure = _span(gens, profile)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(gens)):
-            rest = gens[:i] + gens[i + 1 :]
-            if len(_span(rest, profile)) == target:
-                gens = rest
-                changed = True
-                break
+    gens = _greedy_generating_set(by_preference, len(elements), span)
     return tuple(sorted(gens, key=lambda e: e.coords, reverse=True))
 
 

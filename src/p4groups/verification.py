@@ -7,6 +7,7 @@ full identity/inverse checks plus seeded random associativity triples.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -102,7 +103,6 @@ def run_verification_suite(cfg: ClassifyConfig, seed: int = 0) -> list[CheckResu
     failure = ""
     for c in cands:
         t = c.ext
-        a1 = ExtElement(t.profile.zero(), 1)
         for x in t.profile.elements():
             lhs = ext_power(t, ExtElement(x, 1), t.n)
             rhs = ExtElement(norm_apply(t, x) + t.v, 0)
@@ -216,8 +216,8 @@ def _check_transforms(cfg, cands, groups, seed: int, exhaustive: bool) -> CheckR
         elements = list(profile.elements())
 
         shift_args = elements[1 : 1 + param_count]
-        coprime_n = [i for i in range(1, 5 * t.n) if _coprime(i, t.n)][:param_count]
-        coprime_order = [i for i in range(1, 5 * p) if _coprime(i, profile.order)][:param_count]
+        coprime_n = [i for i in range(1, 5 * t.n) if math.gcd(i, t.n) == 1][:param_count]
+        coprime_order = [i for i in range(1, 5 * p) if math.gcd(i, profile.order) == 1][:param_count]
         phis = _sample_automorphisms(cfg, profile, param_count, rng)
 
         trials = (
@@ -237,12 +237,6 @@ def _check_transforms(cfg, cands, groups, seed: int, exhaustive: bool) -> CheckR
                 return CheckResult("transform-equivalence", False,
                                    f"{c.label} {op_name} produced a non-isomorphic group")
     return CheckResult("transform-equivalence", True)
-
-
-def _coprime(a: int, b: int) -> bool:
-    import math
-
-    return math.gcd(a, b) == 1
 
 
 def _sample_automorphisms(cfg, profile, count: int, rng: random.Random) -> list[MixedModulusMatrix]:

@@ -58,6 +58,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             ClassifyConfig(5, 4)
 
+    def test_large_prime_uses_no_residue_table(self):
+        # Euler's criterion: no O(p) set of squares for p = 2^31 - 1.
+        assert ClassifyConfig.for_prime(2147483647).epsilon == 3
+
 
 class TestTauCatalog:
     def test_mixed_matrices_p3(self, cfg3):

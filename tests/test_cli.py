@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from p4groups.cli import main
 
 
@@ -44,6 +46,17 @@ class TestClassifyCommand:
 
     def test_guard_requires_force(self, capsys):
         code, _, err = run(capsys, "classify", "--p", "11")
+        assert code == 2
+        assert "--force" in err
+
+    @pytest.mark.parametrize("command", ["classify", "tables", "verify"])
+    def test_guard_precedes_config(self, capsys, monkeypatch, command):
+        # A huge --p must be refused before any O(p) residue work starts.
+        def refuse(p):
+            raise AssertionError("for_prime called before the guard")
+
+        monkeypatch.setattr("p4groups.cli.ClassifyConfig.for_prime", refuse)
+        code, _, err = run(capsys, command, "--p", "2147483647")
         assert code == 2
         assert "--force" in err
 
@@ -108,6 +121,24 @@ class TestConstructCommand:
                          "--out", str(out_path))
         assert code == 0
         assert json.loads(out_path.read_text()) == {"1": 1, "3": 26, "9": 54}
+
+    @pytest.mark.parametrize("record, out, message", [
+        ({**ROW1, "p": 3.7}, None, "p must be an integer, got 3.7"),
+        ({**ROW1, "tau": [[1.9, 3], [0, 1]]}, None, "tau entry must be an integer, got 1.9"),
+        ({**ROW1, "v": [0.5, 0]}, None, "v entry must be an integer, got 0.5"),
+        ({**ROW1, "n": True}, None, "n must be an integer, got True"),
+        ([ROW1], None, "must be a JSON object"),
+        (ROW1, "missing/dir/x", "No such file or directory"),
+    ], ids=["float-p", "float-tau", "float-v", "bool-n", "list-record", "missing-out-dir"])
+    def test_malformed_input_is_one_line_error(self, capsys, tmp_path, monkeypatch,
+                                               record, out, message):
+        monkeypatch.chdir(tmp_path)
+        path = write_type(tmp_path, "t.json", record)
+        argv = ["construct", "--type", path] + (["--out", out] if out else [])
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestIsoCommand:
