@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _direct_sum_table, _gather
 from .residues import (
     AbelianElement,
     MixedModulusMatrix,
@@ -163,9 +163,14 @@ def element_index(t: ExtensionType, g: ExtElement) -> int:
 def build_group(t: ExtensionType) -> FiniteGroup:
     """Materialize the group of order |kernel| * n on pairs (x, a^i).
 
-    Element indices are ordered lexicographically by (i, coordinates of x);
-    the table is filled from precomputed kernel-addition and tau-image lookup
-    tables so construction stays fast for the sizes this project handles.
+    Element indices are ordered lexicographically by (i, coordinates of x),
+    so (x, a^i) has index i*|kernel| + rank(x).  With tau = id and v = 0 the
+    floor form is the direct product C_n x kernel; the table is that direct
+    product's table with two changes, both made by slicing rather than one
+    step per entry.  In row (x, a^i), the columns (y, a^j) with i + j >= n
+    wrap once and add v, so they come from the direct-product row of
+    (x + v, a^i); and in every row of coset a^i, column (y, a^j) takes the
+    entry of column (tau^i(y), a^j).
     """
     require_valid(t)
     profile = t.profile
@@ -173,37 +178,27 @@ def build_group(t: ExtensionType) -> FiniteGroup:
     nsize = profile.order
     size = nsize * n
     elements = list(profile.elements())
-
-    add = [[0] * nsize for _ in range(nsize)]
-    for rx, ex in enumerate(elements):
-        row = add[rx]
-        for ry, ey in enumerate(elements):
-            row[ry] = (ex + ey).rank()
-
-    tau_img: list[list[int]] = []
-    power = MixedModulusMatrix.identity(profile)
-    for _ in range(n):
-        tau_img.append([mat_apply(power, e).rank() for e in elements])
-        power = mat_mul(power, t.tau)
-
+    # direct[(c*nsize + rank(x))*size + j*nsize + rank(y)]: (x + y, a^(c+j mod n))
+    direct = _direct_sum_table((n, *profile.moduli))
+    tau = [mat_apply(t.tau, e).rank() for e in elements]
+    tau_i = tuple(range(nsize))  # tau^i by rank
     vr = t.v.rank()
-    addv = [add[z][vr] for z in range(nsize)]
 
-    table = array("i", bytes(4 * size * size))
+    table = array("i")
     for i in range(n):
-        ti = tau_img[i]
-        for j in range(n):
-            wrap = i + j >= n
-            kbase = ((i + j) % n) * nsize
-            for rx in range(nsize):
-                arow = add[rx]
-                base = (i * nsize + rx) * size + j * nsize
-                if wrap:
-                    for ry in range(nsize):
-                        table[base + ry] = kbase + addv[arow[ti[ry]]]
-                else:
-                    for ry in range(nsize):
-                        table[base + ry] = kbase + arow[ti[ry]]
+        cut = (n - i) * nsize  # columns a^j with i + j < n: no wrap
+        untwisted = array("i")
+        for x in range(nsize):
+            row = (i * nsize + x) * size
+            row_v = (i * nsize + direct[x * size + vr]) * size  # (x + v, a^i)
+            untwisted += direct[row : row + cut]
+            untwisted += direct[row_v + cut : row_v + size]
+        block = array("i", bytes(4 * nsize * size))
+        for j in range(0, size, nsize):
+            for y, ty in enumerate(tau_i):
+                block[j + y :: size] = untwisted[j + ty :: size]
+        table += block
+        tau_i = _gather(tau, tau_i)
 
     payloads = [ExtElement(x, i) for i in range(n) for x in elements]
     labels = [g.label() for g in payloads]

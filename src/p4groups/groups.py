@@ -1,9 +1,12 @@
 """Finite groups as explicit multiplication tables.
 
 Groups small enough for this project (order <= 7^4) are stored as full Cayley
-tables over element indices 0..size-1, so every invariant is a brute-force
-scan.  Values are immutable after construction and all queries are pure, so
-they are safe to share across threads.
+tables over element indices 0..size-1.  Tables are built by index arithmetic
+and row gathers, not one Python step per entry, and the invariants that can
+be read off generators are: commutativity, conjugacy classes (orbits under
+conjugation by the generators), normality and the derived subgroup.  Values
+are immutable after construction and all queries are pure, so they are safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -13,9 +16,37 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .residues import _greedy_generating_set, invariant_factors_from_orders, prime_factors
+
+
+def _gather(seq: Sequence[int], idx: Sequence[int]) -> tuple[int, ...]:
+    """``tuple(seq[i] for i in idx)``, gathered in one C-level call."""
+    if len(idx) < 2:
+        return tuple(seq[i] for i in idx)
+    return itemgetter(*idx)(seq)
+
+
+def _inverse_of(t: array, n: int, e: int, i: int) -> int:
+    """Least j with i*j = j*i = e in the flat table t, or -1 if there is none."""
+    start = row = i * n
+    while True:
+        try:
+            start = t.index(e, start, row + n)
+        except ValueError:
+            return -1
+        j = start - row
+        if t[j * n + i] == e:
+            return j
+        start += 1
+
+
+def _pairwise_commute(g: "FiniteGroup", elements: Sequence[int]) -> bool:
+    mul = g.mul
+    return all(mul(a, b) == mul(b, a) for a in elements for b in elements)
 
 
 def least_prime_factor(n: int) -> int:
@@ -64,14 +95,9 @@ class FiniteGroup:
         e = self.identity_index
         n = self.size
         t = self._table
-        out = [-1] * n
-        for i in range(n):
-            for j in range(n):
-                if t[i * n + j] == e and t[j * n + i] == e:
-                    out[i] = j
-                    break
-            else:
-                raise ValueError(f"element {i} has no two-sided inverse")
+        out = [_inverse_of(t, n, e, i) for i in range(n)]
+        if -1 in out:
+            raise ValueError(f"element {out.index(-1)} has no two-sided inverse")
         return out
 
     def inv(self, i: int) -> int:
@@ -135,15 +161,20 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        gens = self.generating_sequence
-        return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
+        return _pairwise_commute(self, self.generating_sequence)
 
     @cached_property
     def conjugacy(self) -> tuple[list[int], list[int], list[int]]:
-        """(class id per element, class size per element, least-index reps)."""
+        """(class id per element, class size per element, least-index reps).
+
+        Classes are the orbits under conjugation by the generators, which
+        generate the whole group of inner automorphisms."""
         n = self.size
         t = self._table
         inv = self.inverses
+        # conj[s][x] = s x s^-1: left multiplication by s (row s), then right
+        # multiplication by s^-1 (column inv[s]).
+        conj = [_gather(t[inv[s]::n], t[s * n : (s + 1) * n]) for s in self.generating_sequence]
         class_id = [-1] * n
         sizes = [0] * n
         reps: list[int] = []
@@ -151,10 +182,15 @@ class FiniteGroup:
             if class_id[i] >= 0:
                 continue
             cid = len(reps)
-            orbit = {t[t[c * n + i] * n + inv[c]] for c in range(n)}
-            reps.append(min(orbit))
+            class_id[i] = cid
+            orbit = [i]
             for x in orbit:
-                class_id[x] = cid
+                for perm in conj:
+                    y = perm[x]
+                    if class_id[y] < 0:
+                        class_id[y] = cid
+                        orbit.append(y)
+            reps.append(min(orbit))
             for x in orbit:
                 sizes[x] = len(orbit)
         return class_id, sizes, reps
@@ -164,9 +200,9 @@ class FiniteGroup:
         """Cheap per-element isomorphism invariants used to pair up candidate
         generator images: (order, conjugacy class size, order of p-th power)."""
         p = least_prime_factor(self.size) if self.size > 1 else 1
-        orders = self.element_orders
         _, sizes, _ = self.conjugacy
-        return [(orders[i], sizes[i], orders[self.power(i, p)]) for i in range(self.size)]
+        # x^p has order o / gcd(o, p) when x has order o.
+        return [(o, s, o // math.gcd(o, p)) for o, s in zip(self.element_orders, sizes)]
 
     @cached_property
     def elements_by_key(self) -> dict[tuple[int, int, int], tuple[int, ...]]:
@@ -201,28 +237,40 @@ class FiniteGroup:
         }
 
 
+def _direct_sum_table(moduli: Sequence[int]) -> array:
+    """Flat Cayley table of C_m1 x ... x C_mk on mixed-radix indices (the
+    last coordinate fastest), built one cyclic factor at a time.
+
+    In C_m x H with h = |H|, element (a, x) has index a*h + x.  The row of
+    (0, x) is the H row of x repeated m times, block c shifted by c*h; the
+    row of (a, x) is that row rotated left by a blocks.
+    """
+    table = array("i", [0])
+    h = 1
+    for m in reversed(moduli):
+        size = m * h
+        out = array("i", bytes(4 * size * size))
+        for x in range(h):
+            hrow = table[x * h : (x + 1) * h]
+            row0 = array("i", [c + y for c in range(0, size, h) for y in hrow])
+            row0 += row0
+            for a in range(m):
+                r = (a * h + x) * size
+                out[r : r + size] = row0[a * h : a * h + size]
+        table, h = out, size
+    return table
+
+
 def cyclic_group(n: int) -> FiniteGroup:
-    table = [(i + j) % n for i in range(n) for j in range(n)]
-    return FiniteGroup(table, n, labels=[str(i) for i in range(n)], name=f"C{n}")
+    return FiniteGroup(_direct_sum_table([n]), n, labels=[str(i) for i in range(n)], name=f"C{n}")
 
 
 def abelian_group(moduli: Sequence[int], name: str = "") -> FiniteGroup:
     """Direct product of cyclic groups of the given orders."""
     moduli = list(moduli)
     size = math.prod(moduli)
-    coords = []
-    for r in range(size):
-        c = []
-        for m in reversed(moduli):
-            c.append(r % m)
-            r //= m
-        coords.append(tuple(reversed(c)))
-    index = {c: i for i, c in enumerate(coords)}
-    table = [
-        index[tuple((a + b) % m for a, b, m in zip(ca, cb, moduli))]
-        for ca in coords
-        for cb in coords
-    ]
+    coords = list(product(*(range(m) for m in moduli)))
+    table = _direct_sum_table(moduli)
     labels = ["(" + ",".join(map(str, c)) + ")" for c in coords]
     return FiniteGroup(table, size, labels=labels, payloads=coords,
                        name=name or "x".join(f"C{m}" for m in moduli))
@@ -231,11 +279,16 @@ def abelian_group(moduli: Sequence[int], name: str = "") -> FiniteGroup:
 @dataclass(frozen=True)
 class Subgroup:
     """Subgroup of a parent group: sorted element indices plus the seeds that
-    generated it."""
+    generated it.  The constructor checks that the elements are exactly the
+    closure of the generators, so invariants may be read off the generators."""
 
     parent: FiniteGroup
     elements: tuple[int, ...]
     generators: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if tuple(self.parent.closure(self.generators)) != self.elements:
+            raise ValueError("subgroup elements must be the closure of its generators")
 
     @property
     def order(self) -> int:
@@ -249,9 +302,7 @@ class Subgroup:
         return i in self.element_set
 
     def is_abelian(self) -> bool:
-        mul = self.parent.mul
-        els = self.elements
-        return all(mul(a, b) == mul(b, a) for a in els for b in els)
+        return _pairwise_commute(self.parent, self.generators)
 
     def invariant_factors(self) -> tuple[int, ...]:
         return abelian_invariants(self)
@@ -281,17 +332,20 @@ def verify_group_axioms(
         if t[e * n + i] != i or t[i * n + e] != i:
             return AxiomReport(False, ("identity", i))
     for i in range(n):
-        if not any(t[i * n + j] == e and t[j * n + i] == e for j in range(n)):
+        if _inverse_of(t, n, e, i) < 0:
             return AxiomReport(False, ("inverse", i))
     if associativity_samples is None:
+        # (i*j)*k = i*(j*k) for all k: the row of i*j equals row i composed
+        # with row j.
         for i in range(n):
-            row_i = i * n
+            row_i = t[i * n : (i + 1) * n]
             for j in range(n):
-                ij = t[row_i + j] * n
-                row_j = j * n
-                for k in range(n):
-                    if t[ij + k] != t[row_i + t[row_j + k]]:
-                        return AxiomReport(False, ("associativity", (i, j, k)))
+                ij = row_i[j] * n
+                lhs = tuple(t[ij : ij + n])
+                rhs = _gather(row_i, t[j * n : (j + 1) * n])
+                if lhs != rhs:
+                    k = next(k for k in range(n) if lhs[k] != rhs[k])
+                    return AxiomReport(False, ("associativity", (i, j, k)))
     else:
         rng = random.Random(seed)
         for _ in range(associativity_samples):
@@ -343,31 +397,28 @@ def _small_generating_subset(g: FiniteGroup, elements: Sequence[int]) -> tuple[i
     )
 
 
-def derived_subgroup(g: FiniteGroup) -> Subgroup:
-    """Commutator subgroup: close the generator-vs-everything commutators,
-    then take the normal closure."""
+def _conjugates(g: FiniteGroup, xs: Iterable[int]) -> set[int]:
+    """s x s^-1 for every generator s of g and every x in xs."""
     n = g.size
     t = g._table
     inv = g.inverses
+    return {t[t[s * n + x] * n + inv[s]] for s in g.generating_sequence for x in xs}
+
+
+def derived_subgroup(g: FiniteGroup) -> Subgroup:
+    """Commutator subgroup: the normal closure of the commutators of the
+    generators, taken by adding generator conjugates until none is new."""
+    mul = g.mul
+    inv = g.inverses
     gens = g.generating_sequence
-    comms = set()
-    for s in gens:
-        s_inv = inv[s]
-        for h in range(n):
-            comms.add(t[t[t[s * n + h] * n + inv[s]] * n + inv[h]])
-            comms.add(t[t[t[h * n + s] * n + inv[h]] * n + s_inv])
-    current = set(g.closure(comms))
+    seeds = {mul(mul(a, b), mul(inv[a], inv[b])) for a in gens for b in gens}
+    current = set(g.closure(seeds))
     while True:
-        extra = set()
-        for c in range(n):
-            ci = inv[c]
-            for h in current:
-                y = t[t[c * n + h] * n + ci]
-                if y not in current:
-                    extra.add(y)
+        extra = _conjugates(g, seeds) - current
         if not extra:
             break
-        current = set(g.closure(current | extra))
+        seeds |= extra
+        current = set(g.closure(seeds))
     elements = tuple(sorted(current))
     return Subgroup(g, elements, _small_generating_subset(g, elements))
 
@@ -389,21 +440,13 @@ def quotient(g: FiniteGroup, n_sub: Subgroup) -> FiniteGroup:
     element and ordered by it."""
     if n_sub.parent is not g:
         raise ValueError("subgroup belongs to a different group")
+    # The subgroup is the closure of its generators (checked when it was
+    # made), so it is normal iff the generators of g conjugate its
+    # generators into it.
+    if not _conjugates(g, n_sub.generators) <= n_sub.element_set:
+        raise ValueError("subgroup is not normal in the group")
     n = g.size
     t = g._table
-    inv = g.inverses
-    sub = n_sub.element_set
-    if g.identity_index not in sub:
-        raise ValueError("subgroup must contain the identity")
-    for a in n_sub.elements:
-        for b in n_sub.elements:
-            if t[a * n + b] not in sub:
-                raise ValueError("element set is not closed under multiplication")
-    for c in range(n):
-        ci = inv[c]
-        for h in n_sub.elements:
-            if t[t[c * n + h] * n + ci] not in sub:
-                raise ValueError("subgroup is not normal in the group")
     coset_id = [-1] * n
     reps: list[int] = []
     for i in range(n):
@@ -411,10 +454,12 @@ def quotient(g: FiniteGroup, n_sub: Subgroup) -> FiniteGroup:
             continue
         cid = len(reps)
         reps.append(i)
-        for h in n_sub.elements:
-            coset_id[t[i * n + h]] = cid
+        for x in _gather(t[i * n : (i + 1) * n], n_sub.elements):
+            coset_id[x] = cid
+    table = array("i")
+    for r in reps:
+        table.extend(_gather(coset_id, _gather(t[r * n : (r + 1) * n], reps)))
     q = len(reps)
-    table = [coset_id[t[reps[a] * n + reps[b]]] for a in range(q) for b in range(q)]
     labels = None
     if g.labels is not None:
         labels = [g.labels[r] + "*" for r in reps]
@@ -459,14 +504,20 @@ def _compute_fingerprint(g: FiniteGroup) -> Fingerprint:
     if n == 1:
         return Fingerprint(1, (), 1, 1, (), 1, True, True)
     p = least_prime_factor(n)
-    e = g.identity_index
-    small = [i for i in range(n) if g.power(i, p) == e]
+    orders = g.element_orders
+    small = [i for i in range(n) if orders[i] in (1, p)]  # x^p = e
     census_le_p = len(small)
 
-    mul = g.mul
-    low_order_commute = all(
-        mul(a, b) == mul(b, a) for idx, a in enumerate(small) for b in small[idx + 1 :]
-    )
+    # The elements of order <= p commute pairwise iff the subgroup they
+    # generate is abelian, iff a generating set of it drawn from them
+    # commutes pairwise.
+    small_gens: list[int] = []
+    span = {g.identity_index}
+    for x in small:
+        if x not in span:
+            small_gens.append(x)
+            span = set(g.closure(small_gens))
+    low_order_commute = _pairwise_commute(g, small_gens)
 
     derived = derived_subgroup(g)
     abelianization = abelian_invariants(quotient(g, derived))
@@ -500,7 +551,8 @@ def isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> tuple[bool, Optional[list[in
     map is closed incrementally with consistency checks on every product, so
     contradictions abort a branch early.  A fingerprint mismatch certifies
     non-isomorphism without searching.  The witness, when returned, has been
-    re-verified as a bijective homomorphism.  Practical for orders <= 5^4.
+    re-verified as a bijective homomorphism.  The tables are read in place,
+    not copied.  Practical for orders <= 7^4.
     """
     if g1.size != g2.size:
         return False, None
@@ -514,8 +566,8 @@ def isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> tuple[bool, Optional[list[in
 
     gens = list(g1.generating_sequence)
     k = len(gens)
-    t1 = list(g1._table)
-    t2 = list(g2._table)
+    t1 = g1._table
+    t2 = g2._table
     key1 = g1.element_keys
     buckets = g2.elements_by_key
     reps_by_key = g2.class_reps_by_key
@@ -526,16 +578,21 @@ def isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> tuple[bool, Optional[list[in
         for d in range(k)
     ]
 
+    # Right multiplication by each generator of g1: column s of the table.
+    right1 = [t1[s::n] for s in gens]
+
     def close(img: list[int], used: bytearray, known: list[int],
-              assigned: list[int], start: int) -> bool:
-        # New generator sits at known[start]; check its edges against the old
+              right: list[tuple[array, array]], start: int) -> bool:
+        # New generator sits at known[start]; right holds, per assigned
+        # generator s, right multiplication by s in g1 and by img[s] in g2,
+        # the new one last.  Check the new generator's edges against the old
         # elements, then propagate products of every new element with every
         # assigned generator.
-        s = known[start]
+        r1, r2 = right[-1]
         for idx in range(start):
             x = known[idx]
-            y = t1[x * n + s]
-            w = t2[img[x] * n + img[s]]
+            y = r1[x]
+            w = r2[img[x]]
             cur = img[y]
             if cur < 0:
                 if used[w]:
@@ -550,9 +607,9 @@ def isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> tuple[bool, Optional[list[in
             y = known[ptr]
             ptr += 1
             iy = img[y]
-            for sj in assigned:
-                z = t1[y * n + sj]
-                w = t2[iy * n + img[sj]]
+            for r1, r2 in right:
+                z = r1[y]
+                w = r2[iy]
                 cur = img[z]
                 if cur < 0:
                     if used[w]:
@@ -564,16 +621,16 @@ def isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> tuple[bool, Optional[list[in
                     return False
         return True
 
-    def search(depth: int, img: list[int], used: bytearray,
-               known: list[int], images: list[int]) -> Optional[list[int]]:
+    def search(depth: int, img: list[int], used: bytearray, known: list[int],
+               images: list[int], right: list[tuple[array, array]]) -> Optional[list[int]]:
         if depth == k:
             if len(known) != n:
                 raise AssertionError("generating sequence failed to generate")
+            # img(i*j) = img(i)*img(j) for every pair, one row i at a time.
             for i in range(n):
                 ii = img[i] * n
-                for j in range(n):
-                    if img[t1[i * n + j]] != t2[ii + img[j]]:
-                        raise AssertionError("witness failed full homomorphism check")
+                if _gather(img, t1[i * n : (i + 1) * n]) != _gather(t2[ii : ii + n], img):
+                    raise AssertionError("witness failed full homomorphism check")
             return img
         s = gens[depth]
         pool = reps_by_key if depth == 0 else buckets
@@ -596,8 +653,9 @@ def isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> tuple[bool, Optional[list[in
             img2[s] = cand
             used2[cand] = 1
             known2.append(s)
-            if close(img2, used2, known2, gens[: depth + 1], start):
-                result = search(depth + 1, img2, used2, known2, images + [cand])
+            right2 = right + [(right1[depth], t2[cand::n])]
+            if close(img2, used2, known2, right2, start):
+                result = search(depth + 1, img2, used2, known2, images + [cand], right2)
                 if result is not None:
                     return result
         return None
@@ -607,7 +665,7 @@ def isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> tuple[bool, Optional[list[in
     known0 = [g1.identity_index]
     img0[g1.identity_index] = g2.identity_index
     used0[g2.identity_index] = 1
-    witness = search(0, img0, used0, known0, [])
+    witness = search(0, img0, used0, known0, [], [])
     if witness is None:
         return False, None
     return True, witness

@@ -61,10 +61,11 @@ class ModulusProfile:
     def __post_init__(self) -> None:
         if self.shape not in SHAPES:
             raise ValueError(f"unknown profile shape {self.shape!r}; expected one of {SHAPES}")
-        if not is_prime(self.p):
-            raise ValueError(f"profile prime must be prime, got {self.p}")
+        # The bound comes first: trial division of a huge p would not finish.
         if self.p > MAX_PRIME:
             raise ValueError(f"profile prime must be <= {MAX_PRIME}, got {self.p}")
+        if not is_prime(self.p):
+            raise ValueError(f"profile prime must be prime, got {self.p}")
 
     @property
     def moduli(self) -> tuple[int, ...]:

@@ -141,6 +141,18 @@ class TestConstructCommand:
         assert message in err
 
 
+    def test_huge_prime_rejected_before_primality_test(self, capsys, tmp_path, monkeypatch):
+        def no_trial_division(n):
+            raise AssertionError(f"is_prime({n}) called on a p above the bound")
+
+        monkeypatch.setattr("p4groups.residues.is_prime", no_trial_division)
+        path = write_type(tmp_path, "t.json", {**ROW1, "p": 1000000000000000000000000000057})
+        code, _, err = run(capsys, "construct", "--type", path)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "profile prime must be <= 97" in err
+
+
 class TestIsoCommand:
     def test_isomorphic_pair(self, capsys, tmp_path):
         a = write_type(tmp_path, "a.json", SCALING_E2)

@@ -20,8 +20,12 @@ from p4groups.extension import (
     v_power,
     validate_type,
 )
-from p4groups.groups import abelian_invariants, isomorphic, subgroup_generated
+from p4groups.classify import ClassifyConfig, candidate_types
+from p4groups.groups import abelian_group, abelian_invariants, isomorphic, subgroup_generated
 from p4groups.residues import MixedModulusMatrix, ModulusProfile, mat_pow
+
+
+P3_CANDIDATES = candidate_types(ClassifyConfig.for_prime(3))
 
 
 def make_type(p, shape, rows, v, n=None):
@@ -166,6 +170,25 @@ class TestBuildGroup:
             for j in range(0, g.size, 7):
                 prod = multiply(t, g.payloads[i], g.payloads[j])
                 assert g.payloads[g.mul(i, j)] == prod
+
+    @pytest.mark.parametrize(
+        "cand", [c for c in P3_CANDIDATES if not c.ext.v.is_zero()], ids=lambda c: c.label
+    )
+    def test_every_product_matches_multiply_with_wrap(self, cand):
+        t = cand.ext
+        g = build_group(t)
+        for i in range(g.size):
+            for j in range(g.size):
+                prod = multiply(t, g.payloads[i], g.payloads[j])
+                assert g.payloads[g.mul(i, j)] == prod, (i, j)
+
+    @pytest.mark.parametrize("moduli", [[9, 3], [2, 6], [81], [3, 3, 3, 3]])
+    def test_abelian_group_adds_coordinatewise(self, moduli):
+        g = abelian_group(moduli)
+        for i, a in enumerate(g.payloads):
+            for j, b in enumerate(g.payloads):
+                want = tuple((x + y) % m for x, y, m in zip(a, b, moduli))
+                assert g.payloads[g.mul(i, j)] == want
 
 
 class TestNormApply:

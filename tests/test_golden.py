@@ -1,5 +1,5 @@
-"""Byte-for-byte CLI output at p = 3, against files saved from an earlier
-commit, so that refactors cannot change what the program prints."""
+"""Byte-for-byte CLI output at p = 3 and p = 5, against files saved from an
+earlier commit, so that refactors cannot change what the program prints."""
 
 from pathlib import Path
 
@@ -8,6 +8,7 @@ import pytest
 from p4groups.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+BENCH_REFERENCE = Path(__file__).parent.parent / "p4bench" / "reference"
 
 
 @pytest.mark.parametrize(
@@ -21,3 +22,10 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_output_matches_golden(capsys, argv, name):
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_classify_p5_matches_benchmark_reference(capsys):
+    """The benchmark's correctness gate for classify-p5, read-only."""
+    assert main(["classify", "--p", "5", "--format", "json"]) == 0
+    want = (BENCH_REFERENCE / "classify-p5.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
