@@ -205,8 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.set_defaults(func=cmd_tables)
 
     p_verify = sub.add_parser("verify", help="run the full property suite")
-    p_verify.add_argument("--p", type=int, required=True, help="odd prime (exhaustive tiers need p<=5)")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    p_verify.add_argument("--p", type=int, required=True,
+                          help="odd prime (associativity is exhaustive at p=3, sampled above)")
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed for sampled associativity (no effect at p=3)")
     p_verify.add_argument("--force", action="store_true",
                           help="lift the p<=7 runtime guard")
     p_verify.set_defaults(func=cmd_verify)

@@ -156,10 +156,6 @@ def norm_apply(t: ExtensionType, x: AbelianElement) -> AbelianElement:
     return mat_apply(norm_matrix(t.tau, t.n), x)
 
 
-def element_index(t: ExtensionType, g: ExtElement) -> int:
-    return g.i * t.profile.order + g.x.rank()
-
-
 def build_group(t: ExtensionType) -> FiniteGroup:
     """Materialize the group of order |kernel| * n on pairs (x, a^i).
 

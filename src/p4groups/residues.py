@@ -106,13 +106,6 @@ class ModulusProfile:
             rank //= m
         return tuple(reversed(out))
 
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "shape": self.shape}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ModulusProfile":
-        return cls(int(data["p"]), str(data["shape"]))
-
 
 @dataclass(frozen=True)
 class AbelianElement:

@@ -1,37 +1,17 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-report.  All tolerances are exact (integer or boolean) equality.
+report.  All tolerances are exact (integer or boolean) equality.  Criteria 1
+and 4-9 assert on the checks of ``run_verification_suite``, the suite behind
+``p4groups verify``, run once at p = 3 and once at p = 5.
 """
 
 import math
 from contextlib import contextmanager
-from itertools import islice
 
 import pytest
 
-from p4groups.classify import (
-    ClassifyConfig,
-    candidate_types,
-    census_closed_form,
-    classify_p4,
-    emit_table1,
-    emit_table2,
-    verify_prop_abelian_subgroup,
-    verify_prop_no_cyclic,
-)
-from p4groups.extension import (
-    ExtElement,
-    ExtensionType,
-    build_group,
-    conjugate_type,
-    ext_power,
-    norm_apply,
-    power_substitute,
-    shift_generator,
-    v_power,
-)
-from p4groups.groups import isomorphic, verify_group_axioms
+from p4groups.classify import ClassifyConfig, emit_table1, emit_table2
 from p4groups.residues import (
     MixedModulusMatrix,
     ModulusProfile,
@@ -39,8 +19,7 @@ from p4groups.residues import (
     mat_mul,
     mat_pow,
 )
-
-ASSOCIATIVITY_SAMPLES = 100_000
+from p4groups.verification import run_verification_suite
 
 
 @contextmanager
@@ -54,259 +33,147 @@ def criterion(number, description):
 
 
 @pytest.fixture(scope="module")
-def cfg3():
-    return ClassifyConfig.for_prime(3)
+def suite():
+    """The verify suite's checks at p = 3 and p = 5, keyed by prime and name."""
+    return {
+        p: {check.name: check for check in run_verification_suite(ClassifyConfig.for_prime(p))}
+        for p in (3, 5)
+    }
 
 
-@pytest.fixture(scope="module")
-def cfg5():
-    return ClassifyConfig.for_prime(5)
+def assert_checks_ok(suite, *names, primes=(3, 5)):
+    for p in primes:
+        for name in names:
+            check = suite[p][name]
+            assert check.ok, f"p={p} {name}: {check.detail}"
 
 
-@pytest.fixture(scope="module")
-def candidates3(cfg3):
-    return candidate_types(cfg3)
-
-
-@pytest.fixture(scope="module")
-def candidates5(cfg5):
-    return candidate_types(cfg5)
-
-
-@pytest.fixture(scope="module")
-def groups3(candidates3):
-    return {c.label: build_group(c.ext) for c in candidates3}
-
-
-@pytest.fixture(scope="module")
-def groups5(candidates5):
-    return {c.label: build_group(c.ext) for c in candidates5}
-
-
-@pytest.fixture(scope="module")
-def result3(cfg3):
-    return classify_p4(cfg3)
-
-
-@pytest.fixture(scope="module")
-def result5(cfg5):
-    return classify_p4(cfg5)
-
-
-def test_criterion_1_classification_counts(result3, result5):
+def test_criterion_1_classification_counts(suite):
     with criterion(1, "15 classes (5 abelian, 10 nonabelian) at p=3 and p=5, "
                       "pairwise non-isomorphic by oracle"):
-        for result in (result3, result5):
-            assert result.abelian_count == 5
-            assert result.nonabelian_count == 10
-            assert result.total == 15
-        # classify_p4 certifies all pairs internally; spot-check two here.
-        r3 = result3.nonabelian_classes
-        ok, _ = isomorphic(r3[0].group, r3[1].group)
-        assert not ok
-        ok, _ = isomorphic(r3[0].group, result3.abelian_classes[0].group)
-        assert not ok
+        # classify_p4 certifies every pair of classes non-isomorphic.
+        assert_checks_ok(suite, "classification-counts")
 
 
-TABLE2_EXPECTED = {
-    3: [
-        ("2x2-r1", (0, 0), (9,), 27),
-        ("2x2-r1", (1, 0), (9,), 9),
-        ("2x2-r2", (0, 0), (3, 3), 27),
-        ("2x2-r2", (0, 1), (3, 3), 9),
-        ("2x2-r3", (0, 0), (3, 3), 27),
-        ("2x2-r4", (0, 0), (3,), 27),
-        ("2x2-r5", (0, 0), (3,), 63),
-        ("2x2-r5", (3, 0), (3,), 9),
-        ("3x3-J2", (0, 0, 0), (3, 3), 81),
-        ("3x3-J3", (0, 0, 0), (3,), 45),
-    ],
-    5: [
-        ("2x2-r1", (0, 0), (25,), 125),
-        ("2x2-r1", (1, 0), (25,), 25),
-        ("2x2-r2", (0, 0), (5, 5), 125),
-        ("2x2-r2", (0, 1), (5, 5), 25),
-        ("2x2-r3", (0, 0), (5, 5), 125),
-        ("2x2-r4", (0, 0), (5,), 125),
-        ("2x2-r5", (0, 0), (5,), 125),
-        ("3x3-J2", (0, 0, 0), (5, 5), 625),
-        ("3x3-J3", (0, 0, 0), (5,), 625),
-        ("3x3-J3", (1, 0, 0), (5,), 125),
-    ],
-}
+EXPECTED_TABLE2_P3 = [
+    ("2x2-r1", (0, 0), (9,), 27),
+    ("2x2-r1", (1, 0), (9,), 9),
+    ("2x2-r2", (0, 0), (3, 3), 27),
+    ("2x2-r2", (0, 1), (3, 3), 9),
+    ("2x2-r3", (0, 0), (3, 3), 27),
+    ("2x2-r4", (0, 0), (3,), 27),
+    ("2x2-r5", (0, 0), (3,), 63),
+    ("2x2-r5", (3, 0), (3,), 9),
+    ("3x3-J2", (0, 0, 0), (3, 3), 81),
+    ("3x3-J3", (0, 0, 0), (3,), 45),
+]
+
+EXPECTED_TABLE2_P5 = [
+    ("2x2-r1", (0, 0), (25,), 125),
+    ("2x2-r1", (1, 0), (25,), 25),
+    ("2x2-r2", (0, 0), (5, 5), 125),
+    ("2x2-r2", (0, 1), (5, 5), 25),
+    ("2x2-r3", (0, 0), (5, 5), 125),
+    ("2x2-r4", (0, 0), (5,), 125),
+    ("2x2-r5", (0, 0), (5,), 125),
+    ("3x3-J2", (0, 0, 0), (5, 5), 625),
+    ("3x3-J3", (0, 0, 0), (5,), 625),
+    ("3x3-J3", (1, 0, 0), (5,), 125),
+]
 
 
-def test_criterion_2_table2_reproduction(cfg3, cfg5):
+
+def test_criterion_2_table2_reproduction():
     with criterion(2, "center invariants and order-<=p census per row at p=3, p=5"):
-        for cfg in (cfg3, cfg5):
-            rows = emit_table2(cfg)  # re-verifies against brute force internally
+        for p, expected in ((3, EXPECTED_TABLE2_P3), (5, EXPECTED_TABLE2_P5)):
+            rows = emit_table2(ClassifyConfig.for_prime(p))  # re-verifies against brute force
             got = [(r.tau_label, r.v.coords, r.center_invariants, r.census_le_p)
                    for r in rows]
-            assert got == TABLE2_EXPECTED[cfg.p]
+            assert got == expected
 
 
-TABLE1_EXPECTED = {
-    3: [
-        ("2x2-r1", [(1, 0)], ((3, 0), (0, 0)), [(3, 0)], [(0, 0), (1, 0)]),
-        ("2x2-r2", [(3, 0), (0, 1)], ((3, 0), (0, 0)), [(3, 0)], [(0, 0), (0, 1)]),
-        ("2x2-r3", [(3, 0), (0, 1)], ((3, 0), (0, 0)), [(3, 0)], [(0, 0), (0, 1)]),
-        ("2x2-r4", [(3, 0)], ((6, 0), (0, 0)), [(3, 0)], [(0, 0)]),
-        ("2x2-r5", [(3, 0)], ((0, 0), (0, 0)), [], [(0, 0), (3, 0)]),
-        ("3x3-J2", [(1, 0, 0), (0, 0, 1)],
-         ((0, 0, 0), (0, 0, 0), (0, 0, 0)), [], [(0, 0, 0)]),
-        ("3x3-J3", [(1, 0, 0)],
-         ((0, 0, 1), (0, 0, 0), (0, 0, 0)), [(1, 0, 0)], [(0, 0, 0)]),
-    ],
-    5: [
-        ("2x2-r1", [(1, 0)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0), (1, 0)]),
-        ("2x2-r2", [(5, 0), (0, 1)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0), (0, 1)]),
-        ("2x2-r3", [(5, 0), (0, 1)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0), (0, 1)]),
-        ("2x2-r4", [(5, 0)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0)]),
-        ("2x2-r5", [(5, 0)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0)]),
-        ("3x3-J2", [(1, 0, 0), (0, 0, 1)],
-         ((0, 0, 0), (0, 0, 0), (0, 0, 0)), [], [(0, 0, 0)]),
-        ("3x3-J3", [(1, 0, 0)],
-         ((0, 0, 0), (0, 0, 0), (0, 0, 0)), [], [(0, 0, 0), (1, 0, 0)]),
-    ],
-}
+EXPECTED_TABLE1_P3 = [
+    ("2x2-r1", ((1, 3), (0, 1)), [(1, 0)], ((3, 0), (0, 0)), [(3, 0)], [(0, 0), (1, 0)]),
+    ("2x2-r2", ((4, 0), (0, 1)), [(3, 0), (0, 1)], ((3, 0), (0, 0)), [(3, 0)], [(0, 0), (0, 1)]),
+    ("2x2-r3", ((1, 0), (1, 1)), [(3, 0), (0, 1)], ((3, 0), (0, 0)), [(3, 0)], [(0, 0), (0, 1)]),
+    ("2x2-r4", ((1, 3), (1, 1)), [(3, 0)], ((6, 0), (0, 0)), [(3, 0)], [(0, 0)]),
+    ("2x2-r5", ((1, 6), (1, 1)), [(3, 0)], ((0, 0), (0, 0)), [], [(0, 0), (3, 0)]),
+    ("3x3-J2", ((1, 1, 0), (0, 1, 0), (0, 0, 1)), [(1, 0, 0), (0, 0, 1)],
+     ((0, 0, 0), (0, 0, 0), (0, 0, 0)), [], [(0, 0, 0)]),
+    ("3x3-J3", ((1, 1, 0), (0, 1, 1), (0, 0, 1)), [(1, 0, 0)],
+     ((0, 0, 1), (0, 0, 0), (0, 0, 0)), [(1, 0, 0)], [(0, 0, 0)]),
+]
+
+EXPECTED_TABLE1_P5 = [
+    ("2x2-r1", ((1, 5), (0, 1)), [(1, 0)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0), (1, 0)]),
+    ("2x2-r2", ((6, 0), (0, 1)), [(5, 0), (0, 1)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0), (0, 1)]),
+    ("2x2-r3", ((1, 0), (1, 1)), [(5, 0), (0, 1)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0), (0, 1)]),
+    ("2x2-r4", ((1, 5), (1, 1)), [(5, 0)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0)]),
+    ("2x2-r5", ((1, 10), (1, 1)), [(5, 0)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0)]),
+    ("3x3-J2", ((1, 1, 0), (0, 1, 0), (0, 0, 1)), [(1, 0, 0), (0, 0, 1)],
+     ((0, 0, 0), (0, 0, 0), (0, 0, 0)), [], [(0, 0, 0)]),
+    ("3x3-J3", ((1, 1, 0), (0, 1, 1), (0, 0, 1)), [(1, 0, 0)],
+     ((0, 0, 0), (0, 0, 0), (0, 0, 0)), [], [(0, 0, 0), (1, 0, 0)]),
+]
 
 
-def test_criterion_3_table1_reproduction(cfg3, cfg5):
+
+def test_criterion_3_table1_reproduction():
     with criterion(3, "fixed-point generators, norm matrices, images, and "
                       "v choices per catalog row at p=3, p=5"):
-        for cfg in (cfg3, cfg5):
-            rows = emit_table1(cfg)
+        for p, expected in ((3, EXPECTED_TABLE1_P3), (5, EXPECTED_TABLE1_P5)):
             got = [
                 (
                     r.tau_label,
+                    r.tau.entries,
                     [g.coords for g in r.fixed_subgroup.generators],
                     r.norm.entries,
                     [g.coords for g in r.image.generators],
                     [v.coords for v in r.v_choices],
                 )
-                for r in rows
+                for r in emit_table1(ClassifyConfig.for_prime(p))
             ]
-            assert got == TABLE1_EXPECTED[cfg.p]
+            assert got == expected
 
 
-def _mixed_type(p, rows, v):
-    prof = ModulusProfile(p, "p2xp")
-    return ExtensionType(prof, p, MixedModulusMatrix(rows, prof), prof.element(v))
-
-
-def test_criterion_4_known_pair_oracle_checks():
+def test_criterion_4_known_pair_oracle_checks(suite):
     with criterion(4, "the known equivalent pair merges and the two known "
                       "inequivalent pairs separate, by oracle"):
-        for p in (3, 5):
-            eq_a = build_group(_mixed_type(p, ((1 + p, 0), (0, 1)), (0, 1)))
-            eq_b = build_group(_mixed_type(p, ((1, 0), (1, 1)), (0, 1)))
-            ok, witness = isomorphic(eq_a, eq_b)
-            assert ok and witness is not None
-
-            ne_a = build_group(_mixed_type(p, ((1 + p, 0), (0, 1)), (0, 0)))
-            ne_b = build_group(_mixed_type(p, ((1, 0), (1, 1)), (0, 0)))
-            ok, _ = isomorphic(ne_a, ne_b)
-            assert not ok
-
-        tw_a = build_group(_mixed_type(5, ((1, 5), (1, 1)), (0, 0)))
-        tw_b = build_group(_mixed_type(5, ((1, 10), (1, 1)), (0, 0)))
-        ok, _ = isomorphic(tw_a, tw_b)
-        assert not ok
+        assert_checks_ok(suite, "iso-pair-shared-relations", "noniso-pair-split-v0")
+        assert_checks_ok(suite, "noniso-pair-residue-twist", primes=(5,))
 
 
-def test_criterion_5_construction_soundness(groups3, groups5):
+def test_criterion_5_construction_soundness(suite):
     with criterion(5, "group axioms hold for every candidate: exhaustive "
                       "triples at p=3, sampled (1e5) plus full identity and "
                       "inverse checks at p=5"):
-        for label, group in groups3.items():
-            report = verify_group_axioms(group)
-            assert report.ok, (label, report.failure)
-        for label, group in groups5.items():
-            report = verify_group_axioms(
-                group, associativity_samples=ASSOCIATIVITY_SAMPLES, seed=0
-            )
-            assert report.ok, (label, report.failure)
+        assert_checks_ok(suite, "group-axioms")
 
 
-def test_criterion_6_power_norm_law(candidates3, candidates5):
+def test_criterion_6_power_norm_law(suite):
     with criterion(6, "(x, a)^p equals (norm(x) + v, identity coset) for all "
                       "x in the kernel, every catalog type"):
-        for cands in (candidates3, candidates5):
-            for cand in cands:
-                t = cand.ext
-                p = t.profile.p
-                for x in t.profile.elements():
-                    lhs = ext_power(t, ExtElement(x, 1), p)
-                    assert lhs == ExtElement(norm_apply(t, x) + t.v, 0), cand.label
+        assert_checks_ok(suite, "power-norm-law")
 
 
-def _conjugators(profile):
-    p = profile.p
-    if profile.rank == 2:
-        rows_list = [
-            ((1, 0), (0, 1)),
-            ((1, 0), (1, 1)),
-            ((1, p), (0, 1)),
-            ((2, 0), (0, 1)),
-            ((1 + p, p), (1, 2)),
-        ]
-    else:
-        rows_list = [
-            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-            ((1, 0, 0), (1, 1, 0), (0, 0, 1)),
-            ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
-            ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
-            ((2, 0, 0), (0, 1, 0), (0, 0, 1)),
-        ]
-    mats = [MixedModulusMatrix(rows, profile) for rows in rows_list]
-    assert all(m.is_automorphism for m in mats)
-    return mats
-
-
-def test_criterion_7_equivalence_transformations(candidates3, groups3):
+def test_criterion_7_equivalence_transformations(suite):
     with criterion(7, "shift_generator, power_substitute, v_power, and "
                       "conjugate_type give oracle-isomorphic groups for every "
                       "catalog type at p=3, five parameters each"):
-        for cand in candidates3:
-            t = cand.ext
-            base = groups3[cand.label]
-            profile = t.profile
-
-            shifts = list(islice(profile.elements(), 1, 6))
-            coprime_n = [i for i in range(1, 20) if math.gcd(i, t.n) == 1][:5]
-            coprime_order = [i for i in range(1, 20) if math.gcd(i, profile.order) == 1][:5]
-
-            transformed = (
-                [shift_generator(t, x) for x in shifts]
-                + [power_substitute(t, i) for i in coprime_n]
-                + [v_power(t, i) for i in coprime_order]
-                + [conjugate_type(t, phi) for phi in _conjugators(profile)]
-            )
-            for new_type in transformed:
-                ok, _ = isomorphic(base, build_group(new_type))
-                assert ok, cand.label
+        assert_checks_ok(suite, "transform-equivalence")
 
 
-def test_criterion_8_census_closed_form(candidates3, groups3, candidates5, groups5):
+def test_criterion_8_census_closed_form(suite):
     with criterion(8, "closed-form order-<=p census equals brute force for "
                       "every candidate at p=3 and p=5"):
-        for cands, groups in ((candidates3, groups3), (candidates5, groups5)):
-            for cand in cands:
-                group = groups[cand.label]
-                p = cand.ext.profile.p
-                e = group.identity_index
-                brute = sum(1 for i in range(group.size) if group.power(i, p) == e)
-                assert census_closed_form(cand.ext) == brute, cand.label
+        assert_checks_ok(suite, "census-closed-form")
 
 
-def test_criterion_9_structural_propositions(result3, result5):
+def test_criterion_9_structural_propositions(suite):
     with criterion(9, "every nonabelian class at p=3 and p=5 has an abelian "
                       "subgroup of order >= p^3 and satisfies the order-p^3 "
                       "cyclic-subgroup property"):
-        for result in (result3, result5):
-            for cls in result.nonabelian_classes:
-                assert verify_prop_abelian_subgroup(cls.group), cls.label
-                assert verify_prop_no_cyclic(cls.group), cls.label
+        assert_checks_ok(suite, "abelian-subgroup-property", "order-p2xp-subgroup-property")
 
 
 def test_criterion_10_matrix_identities():

@@ -24,6 +24,12 @@ from p4groups.classify import (
 from p4groups.extension import ExtensionType, build_group
 from p4groups.groups import abelian_group, isomorphic, order_census
 from p4groups.residues import MixedModulusMatrix, ModulusProfile, mat_order
+from test_acceptance import (
+    EXPECTED_TABLE1_P3,
+    EXPECTED_TABLE1_P5,
+    EXPECTED_TABLE2_P3,
+    EXPECTED_TABLE2_P5,
+)
 
 
 @pytest.fixture(scope="module")
@@ -237,31 +243,6 @@ class TestStructuralProperties:
             verify_prop_abelian_subgroup(abelian_group([9]))
 
 
-EXPECTED_TABLE1_P3 = [
-    ("2x2-r1", ((1, 3), (0, 1)), [(1, 0)], ((3, 0), (0, 0)), [(3, 0)], [(0, 0), (1, 0)]),
-    ("2x2-r2", ((4, 0), (0, 1)), [(3, 0), (0, 1)], ((3, 0), (0, 0)), [(3, 0)], [(0, 0), (0, 1)]),
-    ("2x2-r3", ((1, 0), (1, 1)), [(3, 0), (0, 1)], ((3, 0), (0, 0)), [(3, 0)], [(0, 0), (0, 1)]),
-    ("2x2-r4", ((1, 3), (1, 1)), [(3, 0)], ((6, 0), (0, 0)), [(3, 0)], [(0, 0)]),
-    ("2x2-r5", ((1, 6), (1, 1)), [(3, 0)], ((0, 0), (0, 0)), [], [(0, 0), (3, 0)]),
-    ("3x3-J2", ((1, 1, 0), (0, 1, 0), (0, 0, 1)), [(1, 0, 0), (0, 0, 1)],
-     ((0, 0, 0), (0, 0, 0), (0, 0, 0)), [], [(0, 0, 0)]),
-    ("3x3-J3", ((1, 1, 0), (0, 1, 1), (0, 0, 1)), [(1, 0, 0)],
-     ((0, 0, 1), (0, 0, 0), (0, 0, 0)), [(1, 0, 0)], [(0, 0, 0)]),
-]
-
-EXPECTED_TABLE1_P5 = [
-    ("2x2-r1", ((1, 5), (0, 1)), [(1, 0)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0), (1, 0)]),
-    ("2x2-r2", ((6, 0), (0, 1)), [(5, 0), (0, 1)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0), (0, 1)]),
-    ("2x2-r3", ((1, 0), (1, 1)), [(5, 0), (0, 1)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0), (0, 1)]),
-    ("2x2-r4", ((1, 5), (1, 1)), [(5, 0)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0)]),
-    ("2x2-r5", ((1, 10), (1, 1)), [(5, 0)], ((5, 0), (0, 0)), [(5, 0)], [(0, 0)]),
-    ("3x3-J2", ((1, 1, 0), (0, 1, 0), (0, 0, 1)), [(1, 0, 0), (0, 0, 1)],
-     ((0, 0, 0), (0, 0, 0), (0, 0, 0)), [], [(0, 0, 0)]),
-    ("3x3-J3", ((1, 1, 0), (0, 1, 1), (0, 0, 1)), [(1, 0, 0)],
-     ((0, 0, 0), (0, 0, 0), (0, 0, 0)), [], [(0, 0, 0), (1, 0, 0)]),
-]
-
-
 class TestTable1:
     @pytest.mark.parametrize("p,expected", [(3, EXPECTED_TABLE1_P3), (5, EXPECTED_TABLE1_P5)])
     def test_rows(self, p, expected):
@@ -280,33 +261,6 @@ class TestTable1:
         text = render_table1(cfg3)
         assert "[[1,6],[1,1]]" in text
         assert "{(0,0), (3,0)}" in text
-
-
-EXPECTED_TABLE2_P3 = [
-    ("2x2-r1", (0, 0), (9,), 27),
-    ("2x2-r1", (1, 0), (9,), 9),
-    ("2x2-r2", (0, 0), (3, 3), 27),
-    ("2x2-r2", (0, 1), (3, 3), 9),
-    ("2x2-r3", (0, 0), (3, 3), 27),
-    ("2x2-r4", (0, 0), (3,), 27),
-    ("2x2-r5", (0, 0), (3,), 63),
-    ("2x2-r5", (3, 0), (3,), 9),
-    ("3x3-J2", (0, 0, 0), (3, 3), 81),
-    ("3x3-J3", (0, 0, 0), (3,), 45),
-]
-
-EXPECTED_TABLE2_P5 = [
-    ("2x2-r1", (0, 0), (25,), 125),
-    ("2x2-r1", (1, 0), (25,), 25),
-    ("2x2-r2", (0, 0), (5, 5), 125),
-    ("2x2-r2", (0, 1), (5, 5), 25),
-    ("2x2-r3", (0, 0), (5, 5), 125),
-    ("2x2-r4", (0, 0), (5,), 125),
-    ("2x2-r5", (0, 0), (5,), 125),
-    ("3x3-J2", (0, 0, 0), (5, 5), 625),
-    ("3x3-J3", (0, 0, 0), (5,), 625),
-    ("3x3-J3", (1, 0, 0), (5,), 125),
-]
 
 
 class TestTable2:

@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, output formats, and schema round-trips."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from p4groups import verification
 from p4groups.cli import main
+from p4groups.groups import AxiomReport
 
 
 def run(capsys, *argv):
@@ -198,15 +201,51 @@ class TestTablesCommand:
         assert code == 2
 
 
-class TestVerifyCommand:
-    def test_p3_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--p", "3", "--seed", "0")
-        assert code == 0
-        assert "[ok] group-axioms" in out
-        assert "[ok] power-norm-law" in out
-        assert "[ok] transform-equivalence" in out
-        assert "FAIL" not in out
+def _flip_call(n):
+    """Wrap isomorphic so that its n-th call (1-based) returns the wrong verdict.
 
+    The pair checks make the suite's first isomorphic calls, in order."""
+    def wrap(real):
+        calls = []
+
+        def flipped(g1, g2):
+            calls.append(None)
+            ok, witness = real(g1, g2)
+            return (not ok if len(calls) == n else ok), witness
+        return flipped
+    return wrap
+
+
+def _raise_value_error(*args):
+    raise ValueError("injected")
+
+
+# check name -> (name patched in p4groups.verification, wrapper of the real callable)
+CHECK_BREAKERS = {
+    "group-axioms": ("verify_group_axioms",
+                     lambda real: lambda g, **kw: AxiomReport(False, ("identity", 0))),
+    "power-norm-law": ("ext_power", lambda real: lambda t, g, k: real(t, g, k + 1)),
+    "census-closed-form": ("census_closed_form", lambda real: lambda t: real(t) + 1),
+    "classification-counts": ("classify_p4",
+                              lambda real: lambda cfg: replace(real(cfg), abelian_count=4)),
+    "abelian-subgroup-property": ("verify_prop_abelian_subgroup", lambda real: lambda g: False),
+    "order-p2xp-subgroup-property": ("verify_prop_no_cyclic", lambda real: lambda g: False),
+    "iso-pair-shared-relations": ("isomorphic", _flip_call(1)),
+    "noniso-pair-split-v0": ("isomorphic", _flip_call(2)),
+    "transform-equivalence": ("v_power", lambda real: _raise_value_error),
+}
+
+
+class TestVerifyCommand:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--p", "9")
         assert code == 2
+
+    @pytest.mark.parametrize("check", list(CHECK_BREAKERS))
+    def test_broken_library_call_fails_only_its_check(self, capsys, monkeypatch, check):
+        name, breaker = CHECK_BREAKERS[check]
+        monkeypatch.setattr(verification, name, breaker(getattr(verification, name)))
+        code, out, _ = run(capsys, "verify", "--p", "3")
+        assert code == 1
+        failed = [line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert failed == [check]

@@ -17,6 +17,7 @@ BENCH_REFERENCE = Path(__file__).parent.parent / "p4bench" / "reference"
         (["classify", "--p", "3", "--format", "json"], "classify-p3.json"),
         (["classify", "--p", "3", "--format", "csv"], "classify-p3.csv"),
         (["tables", "--p", "3"], "tables-p3.txt"),
+        (["verify", "--p", "3", "--seed", "0"], "verify-p3.txt"),
     ],
 )
 def test_output_matches_golden(capsys, argv, name):

@@ -67,10 +67,6 @@ class TestProfile:
             assert e.rank() == i
             assert prof.coords_of(i) == e.coords
 
-    def test_json_roundtrip(self):
-        prof = elem3(5)
-        assert ModulusProfile.from_json_dict(prof.to_json_dict()) == prof
-
 
 class TestAbelianElement:
     def test_reduction_and_addition(self):
