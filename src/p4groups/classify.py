@@ -206,7 +206,7 @@ def abelian_catalog(cfg: ClassifyConfig) -> list[tuple[str, tuple[int, ...], Fin
     out = []
     for chain in chains:
         label = "abelian-" + "x".join(f"C{d}" for d in reversed(chain))
-        out.append((label, chain, abelian_group(chain, name=label)))
+        out.append((label, chain, abelian_group(chain)))
     return out
 
 

@@ -148,9 +148,12 @@ def cmd_iso(args: argparse.Namespace) -> int:
 
 def cmd_tables(args: argparse.Namespace) -> int:
     cfg = _guarded_config(args)
-    print(render_table1(cfg))
-    print()
-    print(render_table2(cfg))
+    try:
+        tables = [render_table1(cfg), render_table2(cfg)]
+    except ClassificationError as exc:
+        print(f"classification failed: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    print("\n\n".join(tables))
     return EXIT_OK
 
 

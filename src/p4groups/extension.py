@@ -27,7 +27,6 @@ from .residues import (
     mat_apply,
     mat_inverse,
     mat_mul,
-    mat_order,
     mat_pow,
     norm_matrix,
 )
@@ -93,9 +92,6 @@ class ExtElement:
 
     x: AbelianElement
     i: int
-
-    def label(self) -> str:
-        return "(" + ",".join(map(str, self.x.coords)) + f"|a^{self.i})"
 
 
 def validate_type(t: ExtensionType) -> Optional[str]:
@@ -173,10 +169,9 @@ def build_group(t: ExtensionType) -> FiniteGroup:
     n = t.n
     nsize = profile.order
     size = nsize * n
-    elements = list(profile.elements())
     # direct[(c*nsize + rank(x))*size + j*nsize + rank(y)]: (x + y, a^(c+j mod n))
     direct = _direct_sum_table((n, *profile.moduli))
-    tau = [mat_apply(t.tau, e).rank() for e in elements]
+    tau = [mat_apply(t.tau, e).rank() for e in profile.elements()]
     tau_i = tuple(range(nsize))  # tau^i by rank
     vr = t.v.rank()
 
@@ -195,12 +190,7 @@ def build_group(t: ExtensionType) -> FiniteGroup:
                 block[j + y :: size] = untwisted[j + ty :: size]
         table += block
         tau_i = _gather(tau, tau_i)
-
-    payloads = [ExtElement(x, i) for i in range(n) for x in elements]
-    labels = [g.label() for g in payloads]
-    name = f"ext(p={profile.p},{profile.shape},n={n})"
-    return FiniteGroup(table, size, identity_index=0, labels=labels,
-                       payloads=payloads, name=name)
+    return FiniteGroup(table, size)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +212,8 @@ def power_substitute(t: ExtensionType, i: int) -> ExtensionType:
     require_valid(t)
     if math.gcd(i, t.n) != 1:
         raise ValueError(f"exponent {i} is not prime to n={t.n}")
-    k = i % mat_order(t.tau)
-    result = ExtensionType(t.profile, t.n, mat_pow(t.tau, k), t.v.scale(i))
+    # tau^n = id (checked above), so tau^i = tau^(i mod n).
+    result = ExtensionType(t.profile, t.n, mat_pow(t.tau, i % t.n), t.v.scale(i))
     require_valid(result)
     return result
 

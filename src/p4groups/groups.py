@@ -16,7 +16,6 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
@@ -64,9 +63,6 @@ class FiniteGroup:
         table: Union[Sequence[int], array],
         size: int,
         identity_index: int = 0,
-        labels: Optional[Sequence[str]] = None,
-        payloads: Optional[Sequence[object]] = None,
-        name: str = "G",
     ):
         if size < 1:
             raise ValueError("group size must be positive")
@@ -80,12 +76,9 @@ class FiniteGroup:
         self.size = size
         self._table = flat
         self.identity_index = identity_index
-        self.labels = list(labels) if labels is not None else None
-        self.payloads = list(payloads) if payloads is not None else None
-        self.name = name
 
     def __repr__(self) -> str:
-        return f"FiniteGroup(name={self.name!r}, size={self.size})"
+        return f"FiniteGroup(size={self.size})"
 
     def mul(self, i: int, j: int) -> int:
         return self._table[i * self.size + j]
@@ -229,13 +222,6 @@ class FiniteGroup:
         for i in range(n):
             yield tuple(t[i * n : (i + 1) * n])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "identity": self.identity_index,
-            "table": [list(row) for row in self.cayley_rows()],
-        }
-
 
 def _direct_sum_table(moduli: Sequence[int]) -> array:
     """Flat Cayley table of C_m1 x ... x C_mk on mixed-radix indices (the
@@ -262,18 +248,15 @@ def _direct_sum_table(moduli: Sequence[int]) -> array:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    return FiniteGroup(_direct_sum_table([n]), n, labels=[str(i) for i in range(n)], name=f"C{n}")
+    return abelian_group([n])
 
 
-def abelian_group(moduli: Sequence[int], name: str = "") -> FiniteGroup:
-    """Direct product of cyclic groups of the given orders."""
-    moduli = list(moduli)
-    size = math.prod(moduli)
-    coords = list(product(*(range(m) for m in moduli)))
-    table = _direct_sum_table(moduli)
-    labels = ["(" + ",".join(map(str, c)) + ")" for c in coords]
-    return FiniteGroup(table, size, labels=labels, payloads=coords,
-                       name=name or "x".join(f"C{m}" for m in moduli))
+def abelian_group(moduli: Sequence[int]) -> FiniteGroup:
+    """Direct product of cyclic groups of the given orders.
+
+    Element (c1, ..., ck) has the mixed-radix index of its coordinates, the
+    last coordinate fastest (``itertools.product`` order)."""
+    return FiniteGroup(_direct_sum_table(moduli), math.prod(moduli))
 
 
 @dataclass(frozen=True)
@@ -348,10 +331,11 @@ def verify_group_axioms(
                     return AxiomReport(False, ("associativity", (i, j, k)))
     else:
         rng = random.Random(seed)
+        triples = n ** 3
         for _ in range(associativity_samples):
-            i = rng.randrange(n)
-            j = rng.randrange(n)
-            k = rng.randrange(n)
+            # One draw, uniform over all n^3 triples.
+            ij, k = divmod(rng.randrange(triples), n)
+            i, j = divmod(ij, n)
             if t[t[i * n + j] * n + k] != t[i * n + t[j * n + k]]:
                 return AxiomReport(False, ("associativity", (i, j, k)))
     return AxiomReport(True, None)
@@ -436,8 +420,8 @@ def abelian_invariants(s: Union[Subgroup, FiniteGroup]) -> tuple[int, ...]:
 
 
 def quotient(g: FiniteGroup, n_sub: Subgroup) -> FiniteGroup:
-    """Quotient by a normal subgroup; cosets are labelled by their least
-    element and ordered by it."""
+    """Quotient by a normal subgroup; cosets are numbered in the order of
+    their least elements."""
     if n_sub.parent is not g:
         raise ValueError("subgroup belongs to a different group")
     # The subgroup is the closure of its generators (checked when it was
@@ -459,17 +443,7 @@ def quotient(g: FiniteGroup, n_sub: Subgroup) -> FiniteGroup:
     table = array("i")
     for r in reps:
         table.extend(_gather(coset_id, _gather(t[r * n : (r + 1) * n], reps)))
-    q = len(reps)
-    labels = None
-    if g.labels is not None:
-        labels = [g.labels[r] + "*" for r in reps]
-    return FiniteGroup(
-        table,
-        q,
-        identity_index=coset_id[g.identity_index],
-        labels=labels,
-        name=f"{g.name}/H",
-    )
+    return FiniteGroup(table, len(reps), identity_index=coset_id[g.identity_index])
 
 
 @dataclass(frozen=True)
@@ -522,9 +496,9 @@ def _compute_fingerprint(g: FiniteGroup) -> Fingerprint:
     derived = derived_subgroup(g)
     abelianization = abelian_invariants(quotient(g, derived))
 
-    powers = sorted({g.power(i, p) for i in range(n)})
-    power_sub = subgroup_generated(g, powers)
-    power_quotient_abelian = quotient(g, power_sub).is_abelian
+    # G/N is abelian iff N contains the derived subgroup.
+    power_sub = subgroup_generated(g, {g.power(i, p) for i in range(n)})
+    power_quotient_abelian = derived.element_set <= power_sub.element_set
 
     return Fingerprint(
         group_order=n,

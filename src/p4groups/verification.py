@@ -31,7 +31,6 @@ from .extension import (
     power_substitute,
     shift_generator,
     v_power,
-    validate_type,
 )
 from .groups import isomorphic, verify_group_axioms
 from .residues import MixedModulusMatrix, mat_order
@@ -59,13 +58,14 @@ def run_verification_suite(cfg: ClassifyConfig, seed: int = 0) -> list[CheckResu
         "" if not bad else f"catalog entries of wrong order: {bad}",
     ))
 
-    cands = candidate_types(cfg)
-    invalid = [(c.label, validate_type(c.ext)) for c in cands if validate_type(c.ext)]
-    results.append(CheckResult(
-        "candidate-validation",
-        not invalid,
-        "" if not invalid else f"invalid candidates: {invalid}",
-    ))
+    # candidate_types validates every candidate it returns; no later check
+    # can run without them.
+    try:
+        cands = candidate_types(cfg)
+    except ClassificationError as exc:
+        results.append(CheckResult("candidate-validation", False, str(exc)))
+        return results
+    results.append(CheckResult("candidate-validation", True))
 
     groups = {c.label: build_group(c.ext) for c in cands}
 

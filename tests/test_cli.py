@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from p4groups import verification
+from p4groups import classify, verification
+from p4groups.classify import ClassificationError
 from p4groups.cli import main
 from p4groups.groups import AxiomReport
 
@@ -200,6 +201,15 @@ class TestTablesCommand:
         code, _, _ = run(capsys, "tables", "--p", "6")
         assert code == 2
 
+    def test_table2_check_failure_is_one_line_error(self, capsys, monkeypatch):
+        real = classify.census_closed_form
+        monkeypatch.setattr(classify, "census_closed_form", lambda t: real(t) + 1)
+        code, out, err = run(capsys, "tables", "--p", "3")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("classification failed: census closed form")
+
 
 def _flip_call(n):
     """Wrap isomorphic so that its n-th call (1-based) returns the wrong verdict.
@@ -216,23 +226,30 @@ def _flip_call(n):
     return wrap
 
 
-def _raise_value_error(*args):
-    raise ValueError("injected")
+def _raising(exc):
+    def fail(*args):
+        raise exc
+    return fail
 
 
 # check name -> (name patched in p4groups.verification, wrapper of the real callable)
 CHECK_BREAKERS = {
+    "tau-catalog-order": ("mat_order", lambda real: lambda m: real(m) + 1),
+    "candidate-validation": ("candidate_types",
+                             lambda real: _raising(ClassificationError("injected"))),
     "group-axioms": ("verify_group_axioms",
                      lambda real: lambda g, **kw: AxiomReport(False, ("identity", 0))),
     "power-norm-law": ("ext_power", lambda real: lambda t, g, k: real(t, g, k + 1)),
     "census-closed-form": ("census_closed_form", lambda real: lambda t: real(t) + 1),
+    "table2-reverification": ("emit_table2",
+                              lambda real: _raising(ClassificationError("injected"))),
     "classification-counts": ("classify_p4",
                               lambda real: lambda cfg: replace(real(cfg), abelian_count=4)),
     "abelian-subgroup-property": ("verify_prop_abelian_subgroup", lambda real: lambda g: False),
     "order-p2xp-subgroup-property": ("verify_prop_no_cyclic", lambda real: lambda g: False),
     "iso-pair-shared-relations": ("isomorphic", _flip_call(1)),
     "noniso-pair-split-v0": ("isomorphic", _flip_call(2)),
-    "transform-equivalence": ("v_power", lambda real: _raise_value_error),
+    "transform-equivalence": ("v_power", lambda real: _raising(ValueError("injected"))),
 }
 
 

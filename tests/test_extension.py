@@ -28,6 +28,14 @@ from p4groups.residues import MixedModulusMatrix, ModulusProfile, mat_pow
 P3_CANDIDATES = candidate_types(ClassifyConfig.for_prime(3))
 
 
+def numbered_elements(t):
+    """The elements of build_group(t) in index order: (x, a^i) has index
+    i*|N| + rank(x), with rank(x) mixed-radix in x's coordinates, the last
+    coordinate fastest."""
+    kernel = [t.profile.element(c) for c in product(*(range(m) for m in t.profile.moduli))]
+    return [ExtElement(x, i) for i in range(t.n) for x in kernel]
+
+
 def make_type(p, shape, rows, v, n=None):
     prof = ModulusProfile(p, shape)
     return ExtensionType(prof, n or p, MixedModulusMatrix(rows, prof), prof.element(v))
@@ -157,19 +165,13 @@ class TestBuildGroup:
         assert kernel.order == 27
         assert kernel.invariant_factors() == (3, 9)
 
-    def test_labels_and_payloads(self):
-        t = make_type(3, "p2xp", ((1, 3), (0, 1)), (0, 0))
-        g = build_group(t)
-        assert g.labels[0] == "(0,0|a^0)"
-        assert g.payloads[28].i == 1 and g.payloads[28].x.coords == (0, 1)
-
     def test_table_matches_multiply(self):
         t = make_type(3, "p2xp", ((1, 6), (1, 1)), (0, 0))
         g = build_group(t)
+        els = numbered_elements(t)
         for i in range(0, g.size, 5):
             for j in range(0, g.size, 7):
-                prod = multiply(t, g.payloads[i], g.payloads[j])
-                assert g.payloads[g.mul(i, j)] == prod
+                assert els[g.mul(i, j)] == multiply(t, els[i], els[j])
 
     @pytest.mark.parametrize(
         "cand", [c for c in P3_CANDIDATES if not c.ext.v.is_zero()], ids=lambda c: c.label
@@ -177,18 +179,19 @@ class TestBuildGroup:
     def test_every_product_matches_multiply_with_wrap(self, cand):
         t = cand.ext
         g = build_group(t)
+        els = numbered_elements(t)
         for i in range(g.size):
             for j in range(g.size):
-                prod = multiply(t, g.payloads[i], g.payloads[j])
-                assert g.payloads[g.mul(i, j)] == prod, (i, j)
+                assert els[g.mul(i, j)] == multiply(t, els[i], els[j]), (i, j)
 
     @pytest.mark.parametrize("moduli", [[9, 3], [2, 6], [81], [3, 3, 3, 3]])
     def test_abelian_group_adds_coordinatewise(self, moduli):
         g = abelian_group(moduli)
-        for i, a in enumerate(g.payloads):
-            for j, b in enumerate(g.payloads):
+        coords = list(product(*(range(m) for m in moduli)))  # index order
+        for i, a in enumerate(coords):
+            for j, b in enumerate(coords):
                 want = tuple((x + y) % m for x, y, m in zip(a, b, moduli))
-                assert g.payloads[g.mul(i, j)] == want
+                assert coords[g.mul(i, j)] == want
 
 
 class TestNormApply:

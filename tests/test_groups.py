@@ -32,6 +32,14 @@ def elem_type(p, rows, v):
     return ExtensionType(prof, p, MixedModulusMatrix(rows, prof), prof.element(v))
 
 
+def ext_index(profile, coords, i):
+    """Index of (x, a^i) in a group from build_group: i*|N| + rank(x)."""
+    return i * profile.order + profile.element(coords).rank()
+
+
+P3_MIXED = ModulusProfile(3, "p2xp")
+A3 = ext_index(P3_MIXED, (0, 0), 1)  # the coset generator (0, a) at p = 3
+
 FULL_JORDAN = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
 
 
@@ -93,13 +101,12 @@ class TestElementOrder:
 
     def test_coset_generator_with_nontrivial_v(self):
         g = build_group(mixed_type(3, ((4, 0), (0, 1)), (0, 1)))
-        a = next(i for i, pay in enumerate(g.payloads) if pay.i == 1 and pay.x.is_zero())
-        assert element_order(g, a) == 9
+        assert element_order(g, A3) == 9
 
     def test_kernel_generator_order(self):
-        g = build_group(mixed_type(5, ((1, 5), (0, 1)), (0, 0)))
-        x = next(i for i, pay in enumerate(g.payloads) if pay.i == 0 and pay.x.coords == (1, 0))
-        assert element_order(g, x) == 25
+        t = mixed_type(5, ((1, 5), (0, 1)), (0, 0))
+        g = build_group(t)
+        assert element_order(g, ext_index(t.profile, (1, 0), 0)) == 25
 
 
 class TestOrderCensus:
@@ -145,8 +152,8 @@ class TestDerivedSubgroup:
     def test_twist_derived_order_nine(self, groups3):
         d = derived_subgroup(groups3["r4-v0"])
         assert d.order == 9
-        coords = {groups3["r4-v0"].payloads[i].x.coords for i in d.elements}
-        assert coords == {(3 * a % 9, b % 3) for a in range(3) for b in range(3)}
+        want = {(3 * a % 9, b % 3) for a in range(3) for b in range(3)}
+        assert set(d.elements) == {ext_index(P3_MIXED, x, 0) for x in want}
 
     def test_shear_derived_order_three(self, groups3):
         g = groups3["r1-v0"]
@@ -180,13 +187,11 @@ class TestSubgroupGenerated:
 
     def test_coset_generator_with_trivial_v(self, groups3):
         g = groups3["r1-v0"]
-        a = next(i for i, pay in enumerate(g.payloads) if pay.i == 1 and pay.x.is_zero())
-        assert subgroup_generated(g, [a]).order == 3
+        assert subgroup_generated(g, [A3]).order == 3
 
     def test_kernel_embeds(self, groups3):
         g = groups3["r1-v0"]
-        seeds = [i for i, pay in enumerate(g.payloads) if pay.i == 0]
-        sub = subgroup_generated(g, seeds)
+        sub = subgroup_generated(g, range(P3_MIXED.order))
         assert sub.order == 27
         assert sub.invariant_factors() == (3, 9)
 
@@ -231,8 +236,7 @@ class TestQuotient:
 
     def test_non_normal_rejected(self, groups3):
         g = groups3["r3-v0"]
-        a = next(i for i, pay in enumerate(g.payloads) if pay.i == 1 and pay.x.is_zero())
-        sub = subgroup_generated(g, [a])
+        sub = subgroup_generated(g, [A3])
         with pytest.raises(ValueError):
             quotient(g, sub)
 

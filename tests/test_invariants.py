@@ -1,10 +1,10 @@
 """The fast invariants against brute-force definitions written out here.
 
 Inverses, conjugacy classes, commutativity of subgroups, the derived
-subgroup, normality and the low-order commuting flag are computed in the
-library from row searches and from generators.  Each is compared, on every
-p = 3 candidate group and the five abelian groups of order 81, with the
-definition evaluated over all elements or all pairs.
+subgroup, normality, the low-order commuting flag and the p-power quotient
+flag are computed in the library from row searches and from generators.
+Each is compared, on every p = 3 candidate group and the five abelian groups
+of order 81, with the definition evaluated over all elements or all pairs.
 """
 
 import pytest
@@ -96,6 +96,12 @@ def test_low_order_commute(group):
     assert fingerprint(group).low_order_commute == brute_commute(group, small)
 
 
+def test_power_quotient_abelian(group):
+    power_sub = subgroup_generated(group, {group.power(x, 3) for x in range(group.size)})
+    q = quotient(group, power_sub)
+    assert fingerprint(group).power_quotient_abelian == brute_commute(q, range(q.size))
+
+
 def test_quotient_accepts_exactly_the_normal_cyclic_subgroups(group):
     for x in range(0, group.size, 4):
         sub = subgroup_generated(group, [x])
@@ -120,10 +126,14 @@ def test_magma_without_inverse_raises():
         g.inverses
 
 
-def test_associativity_failure_is_the_first_triple():
+def broken_c5():
     table = list(cyclic_group(5)._table)
     table[1 * 5 + 1] = 3  # break 1+1=2, keep every inverse
-    g = FiniteGroup(table, 5)
+    return FiniteGroup(table, 5)
+
+
+def test_associativity_failure_is_the_first_triple():
+    g = broken_c5()
     first = next(
         (i, j, k)
         for i in range(5)
@@ -132,6 +142,13 @@ def test_associativity_failure_is_the_first_triple():
         if g.mul(g.mul(i, j), k) != g.mul(i, g.mul(j, k))
     )
     assert verify_group_axioms(g).failure == ("associativity", first)
+
+
+def test_sampled_associativity_reports_a_failing_triple():
+    g = broken_c5()
+    kind, (i, j, k) = verify_group_axioms(g, associativity_samples=1000, seed=3).failure
+    assert kind == "associativity"
+    assert g.mul(g.mul(i, j), k) != g.mul(i, g.mul(j, k))
 
 
 def test_subgroup_generators_must_generate_its_elements():
