@@ -56,14 +56,12 @@ def least_prime_factor(n: int) -> int:
 
 class FiniteGroup:
     """A finite magma given by a total multiplication table; the group axioms
-    are a property to be verified, not a constructor guarantee."""
+    are a property to be verified, not a constructor guarantee.  Element 0 is
+    the identity."""
 
-    def __init__(
-        self,
-        table: Union[Sequence[int], array],
-        size: int,
-        identity_index: int = 0,
-    ):
+    identity_index = 0
+
+    def __init__(self, table: Union[Sequence[int], array], size: int):
         if size < 1:
             raise ValueError("group size must be positive")
         flat = table if isinstance(table, array) else array("i", table)
@@ -71,11 +69,8 @@ class FiniteGroup:
             raise ValueError(f"table must have {size * size} entries, got {len(flat)}")
         if min(flat) < 0 or max(flat) >= size:
             raise ValueError("table entries must be element indices in range")
-        if not 0 <= identity_index < size:
-            raise ValueError("identity index out of range")
         self.size = size
         self._table = flat
-        self.identity_index = identity_index
 
     def __repr__(self) -> str:
         return f"FiniteGroup(size={self.size})"
@@ -421,9 +416,12 @@ def abelian_invariants(s: Union[Subgroup, FiniteGroup]) -> tuple[int, ...]:
 
 def quotient(g: FiniteGroup, n_sub: Subgroup) -> FiniteGroup:
     """Quotient by a normal subgroup; cosets are numbered in the order of
-    their least elements."""
+    their least elements, so the identity coset is 0.  The quotient by the
+    trivial subgroup is g itself."""
     if n_sub.parent is not g:
         raise ValueError("subgroup belongs to a different group")
+    if n_sub.order == 1:
+        return g
     # The subgroup is the closure of its generators (checked when it was
     # made), so it is normal iff the generators of g conjugate its
     # generators into it.
@@ -443,7 +441,7 @@ def quotient(g: FiniteGroup, n_sub: Subgroup) -> FiniteGroup:
     table = array("i")
     for r in reps:
         table.extend(_gather(coset_id, _gather(t[r * n : (r + 1) * n], reps)))
-    return FiniteGroup(table, len(reps), identity_index=coset_id[g.identity_index])
+    return FiniteGroup(table, len(reps))
 
 
 @dataclass(frozen=True)

@@ -22,21 +22,6 @@ SHAPE_ELEMENTARY = "pxpxp"
 SHAPES = (SHAPE_MIXED, SHAPE_ELEMENTARY)
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def prime_factors(n: int) -> dict[int, int]:
     """Factor n > 0 by trial division; returns {prime: exponent}."""
     out: dict[int, int] = {}
@@ -49,6 +34,10 @@ def prime_factors(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factors(n) == {n: 1}
 
 
 @dataclass(frozen=True)
@@ -198,9 +187,16 @@ class MixedModulusMatrix:
     @property
     def is_automorphism(self) -> bool:
         """True iff the reduction mod p is invertible over F_p."""
-        p = self.profile.p
-        a = [[x % p for x in row] for row in self.entries]
-        return _fp_det(a, p) != 0
+        a = self.entries
+        if len(a) == 2:
+            det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        else:
+            det = (
+                a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+            )
+        return det % self.profile.p != 0
 
     def to_json_list(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
@@ -269,7 +265,11 @@ def mat_order(m: MixedModulusMatrix) -> int:
 
 
 def mat_inverse(m: MixedModulusMatrix) -> MixedModulusMatrix:
-    return mat_pow(m, mat_order(m) - 1)
+    """Inverse of an automorphism: m^(|Aut N| - 1), since m^|Aut N| = I."""
+    if not m.is_automorphism:
+        raise ValueError("matrix is not an automorphism")
+    order, _ = _automorphism_group_order(m.profile)
+    return mat_pow(m, order - 1)
 
 
 def norm_matrix(m: MixedModulusMatrix, n: int) -> MixedModulusMatrix:
@@ -428,133 +428,43 @@ def image_subgroup(m: MixedModulusMatrix) -> AbelianSubgroup:
 
 
 # ---------------------------------------------------------------------------
-# Plain matrices over F_p and the Jordan form of order-p elements.
+# The Jordan form of order-p automorphisms of the elementary kernel.
 
-Matrix = tuple[tuple[int, ...], ...]
-
-
-def _fp_reduce(a: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    return [[x % p for x in row] for row in a]
+_JORDAN_BLOCK_2 = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+_JORDAN_BLOCK_3 = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
 
 
-def _fp_identity(m: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+def jordan_reduce(tau: MixedModulusMatrix) -> tuple[MixedModulusMatrix, MixedModulusMatrix]:
+    """Jordan form of an automorphism tau of (p, p, p) with tau^p = I.
 
-
-def _fp_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    m = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(m)) % p for j in range(m)]
-        for i in range(m)
-    ]
-
-
-def _fp_det(a: Sequence[Sequence[int]], p: int) -> int:
-    m = len(a)
-    if m == 2:
-        return (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % p
-    if m == 3:
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        ) % p
-    raise ValueError("only 2x2 and 3x3 determinants are supported")
-
-
-def _fp_rank(a: Sequence[Sequence[int]], p: int) -> int:
-    mat = _fp_reduce(a, p)
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, rows) if mat[r][c] % p), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][c], -1, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(rows):
-            if r != rank and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
-def _fp_inverse(a: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    m = len(a)
-    mat = [list(row) + ident for row, ident in zip(_fp_reduce(a, p), _fp_identity(m))]
-    for c in range(m):
-        pivot = next((r for r in range(c, m) if mat[r][c] % p), None)
-        if pivot is None:
-            raise ValueError("matrix is singular over F_p")
-        mat[c], mat[pivot] = mat[pivot], mat[c]
-        inv = pow(mat[c][c], -1, p)
-        mat[c] = [(x * inv) % p for x in mat[c]]
-        for r in range(m):
-            if r != c and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[c])]
-    return [row[m:] for row in mat]
-
-
-def _fp_apply(a: Sequence[Sequence[int]], v: Sequence[int], p: int) -> tuple[int, ...]:
-    return tuple(sum(x * c for x, c in zip(row, v)) % p for row in a)
-
-
-def jordan_reduce(a: Sequence[Sequence[int]], p: int) -> tuple[Matrix, Matrix]:
-    """Jordan form of an order-p element of GL_m(F_p), m in {2, 3}.
-
-    Returns (canonical, g) with g a g^-1 = canonical over F_p.  The canonical
-    form is upper triangular with ones on the diagonal; its block structure is
-    the partition of m determined by rank(a - I).
+    Returns (canonical, g), both on tau's profile, with g tau g^-1 =
+    canonical.  canonical is the identity, one 2-block (tau - I of rank 1,
+    which holds exactly when (tau - I)^2 = 0) or one 3-block.  Raises
+    ValueError for the (p^2, p) profile or when tau^p is not the identity.
     """
-    m = len(a)
-    if m not in (2, 3):
-        raise ValueError("only 2x2 and 3x3 matrices are supported")
-    mat = _fp_reduce(a, p)
-    if _fp_det(mat, p) == 0:
-        raise ValueError("matrix is not invertible over F_p")
-    power = _fp_identity(m)
-    for _ in range(p):
-        power = _fp_mul(power, mat, p)
-    if power != _fp_identity(m):
+    profile = tau.profile
+    if profile.shape != SHAPE_ELEMENTARY:
+        raise ValueError("Jordan reduction needs the (p, p, p) profile")
+    identity = MixedModulusMatrix.identity(profile)
+    if mat_pow(tau, profile.p) != identity:
         raise ValueError("matrix order does not divide p")
-
-    nil = [[(x - (1 if i == j else 0)) % p for j, x in enumerate(row)] for i, row in enumerate(mat)]
-    r = _fp_rank(nil, p)
-    basis_vectors = [tuple(1 if i == j else 0 for i in range(m)) for j in range(m)]
-
-    if r == 0:
-        ident = tuple(tuple(row) for row in _fp_identity(m))
-        return ident, ident
-
-    def columns_to_matrix(cols: list[tuple[int, ...]]) -> list[list[int]]:
-        return [[col[i] for col in cols] for i in range(m)]
-
-    if r == 1:
-        v = next(b for b in basis_vectors if any(_fp_apply(nil, b, p)))
-        nv = _fp_apply(nil, v, p)
-        chain = [nv, v]
-        if m == 3:
-            w = next(
-                b
-                for b in basis_vectors
-                if not any(_fp_apply(nil, b, p))
-                and _fp_rank(columns_to_matrix([nv, b]), p) == 2
-            )
-            chain.append(w)
-        canonical = [[1, 1], [0, 1]] if m == 2 else [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    if tau == identity:
+        return identity, identity
+    nil = MixedModulusMatrix(
+        tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(tau.entries)),
+        profile,
+    )
+    nil2 = mat_mul(nil, nil)
+    if nil2 == MixedModulusMatrix.zero(profile):
+        v = next(x for x in profile.elements() if not mat_apply(nil, x).is_zero())
+        u = mat_apply(nil, v)
+        line = {u.scale(k) for k in range(profile.p)}
+        # ker(tau - I) is a plane containing u; any w in it off the line <u>
+        # completes the basis.
+        w = next(x for x in profile.elements() if mat_apply(nil, x).is_zero() and x not in line)
+        chain, canonical = (u, v, w), _JORDAN_BLOCK_2
     else:
-        nil2 = _fp_mul(nil, nil, p)
-        v = next(b for b in basis_vectors if any(_fp_apply(nil2, b, p)))
-        chain = [_fp_apply(nil2, v, p), _fp_apply(nil, v, p), v]
-        canonical = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
-
-    basis = columns_to_matrix(chain)
-    g = _fp_inverse(basis, p)
-    check = _fp_mul(_fp_mul(g, mat, p), _fp_inverse(g, p), p)
-    if check != canonical:
-        raise AssertionError("jordan reduction produced an inconsistent conjugator")
-    return tuple(tuple(row) for row in canonical), tuple(tuple(row) for row in g)
+        v = next(x for x in profile.elements() if not mat_apply(nil2, x).is_zero())
+        chain, canonical = (mat_apply(nil2, v), mat_apply(nil, v), v), _JORDAN_BLOCK_3
+    basis = MixedModulusMatrix(tuple(zip(*(x.coords for x in chain))), profile)
+    return MixedModulusMatrix(canonical, profile), mat_inverse(basis)

@@ -32,7 +32,7 @@ from .extension import (
     shift_generator,
     v_power,
 )
-from .groups import isomorphic, verify_group_axioms
+from .groups import element_order, isomorphic, verify_group_axioms
 from .residues import MixedModulusMatrix, mat_order
 
 ASSOCIATIVITY_SAMPLES = 100_000
@@ -107,9 +107,8 @@ def run_verification_suite(cfg: ClassifyConfig, seed: int = 0) -> list[CheckResu
     nsize = p ** 3
     for c in cands:
         group = groups[c.label]
-        e = group.identity_index
         per_coset = [
-            sum(1 for r in range(nsize) if group.power(i * nsize + r, p) == e)
+            sum(1 for r in range(nsize) if element_order(group, i * nsize + r) in (1, p))
             for i in range(p)
         ]
         if len(set(per_coset[1:])) > 1:

@@ -241,6 +241,10 @@ CHECK_BREAKERS = {
                      lambda real: lambda g, **kw: AxiomReport(False, ("identity", 0))),
     "power-norm-law": ("ext_power", lambda real: lambda t, g, k: real(t, g, k + 1)),
     "census-closed-form": ("census_closed_form", lambda real: lambda t: real(t) + 1),
+    # The suite runs at p = 3: flip whether the last element satisfies x^3 = e.
+    "coset-census-balance": ("element_order",
+                             lambda real: lambda g, x: real(g, x) if x < g.size - 1
+                             else 9 if real(g, x) in (1, 3) else 3),
     "table2-reverification": ("emit_table2",
                               lambda real: _raising(ClassificationError("injected"))),
     "classification-counts": ("classify_p4",

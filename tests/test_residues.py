@@ -243,6 +243,8 @@ class TestMatOrder:
         prof = mixed(3)
         with pytest.raises(ValueError):
             mat_order(mat([[3, 0], [0, 1]], prof))
+        with pytest.raises(ValueError):
+            mat_inverse(mat([[3, 0], [0, 1]], prof))
 
     def test_power_by_order_cycles(self):
         prof = mixed(5)
@@ -255,9 +257,13 @@ class TestMatOrder:
             assert mat_pow(m, mat_order(m)) == MixedModulusMatrix.identity(prof)
 
     def test_inverse(self):
-        prof = mixed(5)
-        m = mat([[7, 10], [3, 4]], prof)
-        assert mat_mul(m, mat_inverse(m)) == MixedModulusMatrix.identity(prof)
+        samples = [
+            mat([[7, 10], [3, 4]], mixed(5)),
+            mat([[0, 1, 2], [1, 0, 0], [1, 1, 1]], elem3(3)),
+        ]
+        for m in samples:
+            identity = MixedModulusMatrix.identity(m.profile)
+            assert mat_mul(m, mat_inverse(m)) == identity == mat_mul(mat_inverse(m), m)
 
 
 class TestFixedPoints:
@@ -341,56 +347,45 @@ class TestImageSubgroup:
 
 class TestJordanReduce:
     def test_identity(self):
-        canonical, g = jordan_reduce(((1, 0), (0, 1)), 3)
-        assert canonical == ((1, 0), (0, 1))
-        assert g == ((1, 0), (0, 1))
-
-    def test_lower_shear_via_swap(self):
-        canonical, g = jordan_reduce(((1, 0), (1, 1)), 3)
-        assert canonical == ((1, 1), (0, 1))
-        assert g == ((0, 1), (1, 0))
+        identity = MixedModulusMatrix.identity(elem3(3))
+        assert jordan_reduce(identity) == (identity, identity)
 
     def test_rank_two_gives_full_block(self):
-        a = ((1, 0, 0), (1, 1, 0), (0, 1, 1))
-        canonical, _ = jordan_reduce(a, 5)
-        assert canonical == FULL_JORDAN
+        prof = elem3(5)
+        canonical, _ = jordan_reduce(mat(((1, 0, 0), (1, 1, 0), (0, 1, 1)), prof))
+        assert canonical == mat(FULL_JORDAN, prof)
 
     def test_rank_one_3x3(self):
-        a = ((1, 0, 0), (2, 1, 0), (0, 0, 1))
-        canonical, _ = jordan_reduce(a, 3)
-        assert canonical == SINGLE_BLOCK
+        prof = elem3(3)
+        canonical, _ = jordan_reduce(mat(((1, 0, 0), (2, 1, 0), (0, 0, 1)), prof))
+        assert canonical == mat(SINGLE_BLOCK, prof)
 
-    def test_exhaustive_order_three_gl2(self):
-        # Every order-3 element of GL_2(F_3) must reduce, with a conjugator
-        # that the routine itself re-verifies.
-        found = 0
-        for a, b, c, d in product(range(3), repeat=4):
-            m = ((a, b), (c, d))
-            if (a * d - b * c) % 3 == 0:
+    def test_exhaustive_order_three_gl3(self):
+        # Every order-3 element of GL_3(F_3) reduces, with a conjugator that
+        # carries it to its canonical form.
+        prof = elem3(3)
+        identity = MixedModulusMatrix.identity(prof)
+        found = {SINGLE_BLOCK: 0, FULL_JORDAN: 0}
+        for e in product(range(3), repeat=9):
+            m = mat((e[0:3], e[3:6], e[6:9]), prof)
+            if m == identity or not m.is_automorphism or mat_pow(m, 3) != identity:
                 continue
-            cube = _pow2(m, 3, 3)
-            if cube != ((1, 0), (0, 1)) or m == ((1, 0), (0, 1)):
-                continue
-            canonical, _ = jordan_reduce(m, 3)
-            assert canonical == ((1, 1), (0, 1))
-            found += 1
-        assert found == 8
+            canonical, g = jordan_reduce(m)
+            assert mat_mul(mat_mul(g, m), mat_inverse(g)) == canonical
+            found[canonical.entries] += 1
+        assert found == {SINGLE_BLOCK: 104, FULL_JORDAN: 624}
 
     def test_rejects_wrong_order(self):
+        prof = elem3(3)
         with pytest.raises(ValueError):
-            jordan_reduce(((2, 0), (0, 1)), 3)
+            jordan_reduce(mat(((2, 0, 0), (0, 1, 0), (0, 0, 1)), prof))
         with pytest.raises(ValueError):
-            jordan_reduce(((1, 0), (0, 0)), 3)
+            jordan_reduce(mat(((1, 0, 0), (0, 1, 0), (0, 0, 0)), prof))
 
-
-def _pow2(m, k, p):
-    result = ((1, 0), (0, 1))
-    for _ in range(k):
-        result = tuple(
-            tuple(sum(result[i][t] * m[t][j] for t in range(2)) % p for j in range(2))
-            for i in range(2)
-        )
-    return result
+    def test_rejects_mixed_kernel(self):
+        # Conjugacy in GL_2(F_p) is not conjugacy in Aut(C_{p^2} x C_p).
+        with pytest.raises(ValueError):
+            jordan_reduce(mat(((1, 0), (1, 1)), mixed(3)))
 
 
 class TestInvariantFactors:
