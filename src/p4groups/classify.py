@@ -11,12 +11,13 @@ the end of every run, is 10 nonabelian classes and 5 abelian ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .extension import ExtensionType, build_group, validate_type
 from .groups import (
     FiniteGroup,
     Fingerprint,
+    Subgroup,
     abelian_group,
     abelian_invariants,
     center,
@@ -25,8 +26,8 @@ from .groups import (
     least_prime_factor,
 )
 from .residues import (
+    MAX_PRIME,
     AbelianElement,
-    AbelianSubgroup,
     MixedModulusMatrix,
     ModulusProfile,
     SHAPE_ELEMENTARY,
@@ -50,12 +51,14 @@ class ClassifyConfig:
     epsilon: int
 
     def __post_init__(self) -> None:
+        _check_bound(self.p)
         least_nonresidue(self.p)  # rejects any p that is not an odd prime
         if not _is_nonresidue(self.epsilon, self.p):
             raise ValueError(f"{self.epsilon} is a square modulo {self.p}")
 
     @classmethod
     def for_prime(cls, p: int) -> "ClassifyConfig":
+        _check_bound(p)
         return cls(p, least_nonresidue(p))
 
     @property
@@ -65,6 +68,13 @@ class ClassifyConfig:
     @property
     def elementary_profile(self) -> ModulusProfile:
         return ModulusProfile(self.p, SHAPE_ELEMENTARY)
+
+
+def _check_bound(p: int) -> None:
+    """The kernel profiles stop at MAX_PRIME.  Checked before any primality
+    or residue work: trial division of a huge p would not finish."""
+    if p > MAX_PRIME:
+        raise ValueError(f"p must be <= {MAX_PRIME}, got p={p}")
 
 
 def _is_nonresidue(n: int, p: int) -> bool:
@@ -109,16 +119,17 @@ def v_candidates(cfg: ClassifyConfig, tau: MixedModulusMatrix) -> list[AbelianEl
     element always comes first; the rest are ordered by their least member.
     """
     p = cfg.p
+    profile = tau.profile
     fixed = fixed_points(tau)
     image = image_subgroup(norm_matrix(tau, p))
-    im_elements = image.elements
+    kernel = fixed.parent  # elements are ranks; the least rank has the least coordinates
 
-    cosets: list[frozenset[AbelianElement]] = []
-    assigned: set[AbelianElement] = set()
+    cosets: list[frozenset[int]] = []
+    assigned: set[int] = set()
     for x in fixed.elements:
         if x in assigned:
             continue
-        coset = frozenset(x + h for h in im_elements)
+        coset = frozenset(kernel.mul(x, h) for h in image.elements)
         cosets.append(coset)
         assigned.update(coset)
 
@@ -130,13 +141,13 @@ def v_candidates(cfg: ClassifyConfig, tau: MixedModulusMatrix) -> list[AbelianEl
     for idx, coset in enumerate(cosets):
         if idx in consumed:
             continue
-        pivot = min(coset, key=lambda e: e.coords)
-        orbit_members: set[AbelianElement] = set()
+        pivot = min(coset)
+        orbit_members: set[int] = set()
         for u in units:
-            scaled = coset_of[pivot.scale(u)]
+            scaled = coset_of[kernel.power(pivot, u)]
             consumed.add(scaled)
             orbit_members.update(cosets[scaled])
-        reps.append(min(orbit_members, key=lambda e: e.coords))
+        reps.append(profile.element(profile.coords_of(min(orbit_members))))
     return reps
 
 
@@ -188,7 +199,7 @@ def census_closed_form(t: ExtensionType) -> int:
         raise ValueError("closed-form census requires quotient order n = p")
     base = p * p if t.profile.shape == SHAPE_MIXED else p ** 3
     image = image_subgroup(norm_matrix(t.tau, p))
-    if t.v in image:
+    if t.v.rank() in image:
         return base + (p - 1) * (t.profile.order // image.order)
     return base
 
@@ -246,10 +257,6 @@ class ClassificationResult:
     @property
     def nonabelian_classes(self) -> tuple[GroupClass, ...]:
         return tuple(c for c in self.classes if c.kind == "nonabelian")
-
-    @property
-    def abelian_classes(self) -> tuple[GroupClass, ...]:
-        return tuple(c for c in self.classes if c.kind == "abelian")
 
     def to_json_dict(self) -> dict:
         return {
@@ -460,9 +467,9 @@ def verify_prop_no_cyclic(g: FiniteGroup) -> bool:
 class Table1Row:
     tau_label: str
     tau: MixedModulusMatrix
-    fixed_subgroup: AbelianSubgroup
+    fixed_subgroup: Subgroup
     norm: MixedModulusMatrix
-    image: AbelianSubgroup
+    image: Subgroup
     v_choices: tuple[AbelianElement, ...]
 
 
@@ -542,14 +549,13 @@ def _fmt_matrix(m: MixedModulusMatrix) -> str:
     return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in m.entries) + "]"
 
 
-def _fmt_vec(v: AbelianElement) -> str:
-    return "(" + ",".join(map(str, v.coords)) + ")"
+def _fmt_vec(coords: Sequence[int]) -> str:
+    return "(" + ",".join(map(str, coords)) + ")"
 
 
-def _fmt_gens(s: AbelianSubgroup) -> str:
-    if not s.generators:
-        return "<" + _fmt_vec(s.profile.zero()) + ">"
-    return "<" + ", ".join(_fmt_vec(g) for g in s.generators) + ">"
+def _fmt_gens(s: Subgroup, profile: ModulusProfile) -> str:
+    """Generators of a kernel subgroup as coordinates; the trivial one as <0>."""
+    return "<" + ", ".join(_fmt_vec(profile.coords_of(g)) for g in s.generators or (0,)) + ">"
 
 
 def render_table1(cfg: ClassifyConfig) -> str:
@@ -557,10 +563,10 @@ def render_table1(cfg: ClassifyConfig) -> str:
     rows = [
         [
             f"{row.tau_label} {_fmt_matrix(row.tau)}",
-            _fmt_gens(row.fixed_subgroup),
+            _fmt_gens(row.fixed_subgroup, row.tau.profile),
             _fmt_matrix(row.norm),
-            _fmt_gens(row.image),
-            "{" + ", ".join(_fmt_vec(v) for v in row.v_choices) + "}",
+            _fmt_gens(row.image, row.tau.profile),
+            "{" + ", ".join(_fmt_vec(v.coords) for v in row.v_choices) + "}",
         ]
         for row in emit_table1(cfg)
     ]
@@ -572,7 +578,7 @@ def render_table2(cfg: ClassifyConfig) -> str:
     rows = [
         [
             f"{row.tau_label} {_fmt_matrix(row.tau)}",
-            _fmt_vec(row.v),
+            _fmt_vec(row.v.coords),
             "x".join(f"C{d}" for d in reversed(row.center_invariants)),
             str(row.census_le_p),
         ]

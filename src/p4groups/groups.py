@@ -19,8 +19,6 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
-from .residues import _greedy_generating_set, invariant_factors_from_orders, prime_factors
-
 
 def _gather(seq: Sequence[int], idx: Sequence[int]) -> tuple[int, ...]:
     """``tuple(seq[i] for i in idx)``, gathered in one C-level call."""
@@ -46,6 +44,20 @@ def _inverse_of(t: array, n: int, e: int, i: int) -> int:
 def _pairwise_commute(g: "FiniteGroup", elements: Sequence[int]) -> bool:
     mul = g.mul
     return all(mul(a, b) == mul(b, a) for a in elements for b in elements)
+
+
+def prime_factors(n: int) -> dict[int, int]:
+    """Factor n > 0 by trial division; returns {prime: exponent}."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def least_prime_factor(n: int) -> int:
@@ -368,12 +380,32 @@ def center(g: FiniteGroup) -> Subgroup:
 
 
 def _small_generating_subset(g: FiniteGroup, elements: Sequence[int]) -> tuple[int, ...]:
-    """Greedy+pruned generating subset of a known subgroup's element list."""
+    """Greedy generating subset of a known subgroup's element list, pruned so
+    that no member is redundant.
+
+    Each step adds the highest-order element (least index among equals) not
+    yet in the closure.  Dropping a member never makes an earlier one
+    redundant, so one pass of pruning suffices.  Irredundant generating sets
+    of a finite p-group all have the minimal size.
+    """
+    target = len(elements)
+    if target <= 1:
+        return ()
     orders = g.element_orders
     preference = sorted(elements, key=lambda i: (-orders[i], i))
-    return tuple(
-        _greedy_generating_set(preference, len(elements), lambda gens: set(g.closure(gens)))
-    )
+    gens: list[int] = []
+    span = {g.identity_index}
+    while len(span) < target:
+        gens.append(next(x for x in preference if x not in span))
+        span = set(g.closure(gens))
+    i = 0
+    while i < len(gens):
+        rest = gens[:i] + gens[i + 1 :]
+        if len(g.closure(rest)) == target:
+            gens = rest
+        else:
+            i += 1
+    return tuple(gens)
 
 
 def _conjugates(g: FiniteGroup, xs: Iterable[int]) -> set[int]:
@@ -400,6 +432,51 @@ def derived_subgroup(g: FiniteGroup) -> Subgroup:
         current = set(g.closure(seeds))
     elements = tuple(sorted(current))
     return Subgroup(g, elements, _small_generating_subset(g, elements))
+
+
+def invariant_factors_from_orders(orders: Sequence[int]) -> tuple[int, ...]:
+    """Invariant factors of a finite abelian group from its element orders.
+
+    The count of elements of order dividing q^m determines, prime by prime,
+    the partition of exponents; the divisor chain is read off from there.
+    """
+    n = len(orders)
+    if n == 0:
+        raise ValueError("empty order multiset")
+    if n == 1:
+        return ()
+    parts_by_prime: dict[int, list[int]] = {}
+    for q in prime_factors(n):
+        counts = [1]
+        while True:
+            qm = q ** len(counts)
+            cnt = sum(1 for o in orders if qm % o == 0)
+            if cnt == counts[-1]:
+                break
+            counts.append(cnt)
+        exps = []
+        for c in counts:
+            e, x = 0, 1
+            while x < c:
+                x *= q
+                e += 1
+            if x != c:
+                raise ValueError("order census is not consistent with an abelian group")
+            exps.append(e)
+        conj = [exps[i] - exps[i - 1] for i in range(1, len(exps))]
+        width = conj[0] if conj else 0
+        parts = [sum(1 for c in conj if c >= i) for i in range(1, width + 1)]
+        if parts:
+            parts_by_prime[q] = parts
+    length = max((len(parts) for parts in parts_by_prime.values()), default=0)
+    chain = []
+    for j in range(length):
+        d = 1
+        for q, parts in parts_by_prime.items():
+            if j < len(parts):
+                d *= q ** parts[j]
+        chain.append(d)
+    return tuple(reversed(chain))
 
 
 def abelian_invariants(s: Union[Subgroup, FiniteGroup]) -> tuple[int, ...]:

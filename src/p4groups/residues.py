@@ -5,35 +5,23 @@ Automorphisms are integer matrices acting on column vectors, with each row
 reduced by its own modulus: row i lives modulo ``moduli[i]``.  The two
 supported coordinate profiles are (p^2, p) and (p, p, p).  Everything here is
 exact integer arithmetic; no floating point, no external linear algebra.
+Fixed points and norm images are subgroups of the kernel group
+``abelian_group(profile.moduli)``, whose element indices are coordinate ranks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
+
+from .groups import Subgroup, _small_generating_subset, abelian_group, prime_factors
 
 MAX_PRIME = 97
 
 SHAPE_MIXED = "p2xp"
 SHAPE_ELEMENTARY = "pxpxp"
 SHAPES = (SHAPE_MIXED, SHAPE_ELEMENTARY)
-
-
-def prime_factors(n: int) -> dict[int, int]:
-    """Factor n > 0 by trial division; returns {prime: exponent}."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def is_prime(n: int) -> bool:
@@ -131,13 +119,6 @@ class AbelianElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def order(self) -> int:
-        """Additive order: least k >= 1 with k*self = 0."""
-        o = 1
-        for c, m in zip(self.coords, self.profile.moduli):
-            o = math.lcm(o, m // math.gcd(c, m))
-        return o
-
     def rank(self) -> int:
         return self.profile.rank_of(self.coords)
 
@@ -179,10 +160,6 @@ class MixedModulusMatrix:
     def zero(cls, profile: ModulusProfile) -> "MixedModulusMatrix":
         m = profile.rank
         return cls(((0,) * m,) * m, profile)
-
-    @property
-    def is_identity(self) -> bool:
-        return self == MixedModulusMatrix.identity(self.profile)
 
     @property
     def is_automorphism(self) -> bool:
@@ -287,144 +264,34 @@ def norm_matrix(m: MixedModulusMatrix, n: int) -> MixedModulusMatrix:
     return MixedModulusMatrix(tuple(tuple(row) for row in acc), m.profile)
 
 
-@dataclass(frozen=True)
-class AbelianSubgroup:
-    """Subgroup of a profile group as an explicit sorted element list plus a
-    minimal generating set (largest coordinates first, matching the usual
-    presentation order)."""
-
-    profile: ModulusProfile
-    elements: tuple[AbelianElement, ...]
-    generators: tuple[AbelianElement, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @cached_property
-    def element_set(self) -> frozenset[AbelianElement]:
-        return frozenset(self.elements)
-
-    def __contains__(self, x: AbelianElement) -> bool:
-        return x in self.element_set
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Divisor chain d1 | d2 | ... describing the subgroup."""
-        return invariant_factors_from_orders([x.order() for x in self.elements])
+def _kernel_subgroup(profile: ModulusProfile, ranks: set[int]) -> Subgroup:
+    """The subgroup of ``abelian_group(profile.moduli)`` with the given element
+    ranks, its generators listed by descending rank (largest coordinates
+    first)."""
+    kernel = abelian_group(profile.moduli)
+    elements = tuple(sorted(ranks))
+    generators = sorted(_small_generating_subset(kernel, elements), reverse=True)
+    return Subgroup(kernel, elements, tuple(generators))
 
 
-def invariant_factors_from_orders(orders: Sequence[int]) -> tuple[int, ...]:
-    """Invariant factors of a finite abelian group from its element orders.
+def fixed_points(m: MixedModulusMatrix) -> Subgroup:
+    """All v with m(v) = v; a subgroup since the map is linear.
 
-    The count of elements of order dividing q^m determines, prime by prime,
-    the partition of exponents; the divisor chain is read off from there.
-    """
-    n = len(orders)
-    if n == 0:
-        raise ValueError("empty order multiset")
-    if n == 1:
-        return ()
-    parts_by_prime: dict[int, list[int]] = {}
-    for q in prime_factors(n):
-        counts = [1]
-        while True:
-            qm = q ** len(counts)
-            cnt = sum(1 for o in orders if qm % o == 0)
-            if cnt == counts[-1]:
-                break
-            counts.append(cnt)
-        exps = []
-        for c in counts:
-            e, x = 0, 1
-            while x < c:
-                x *= q
-                e += 1
-            if x != c:
-                raise ValueError("order census is not consistent with an abelian group")
-            exps.append(e)
-        conj = [exps[i] - exps[i - 1] for i in range(1, len(exps))]
-        width = conj[0] if conj else 0
-        parts = [sum(1 for c in conj if c >= i) for i in range(1, width + 1)]
-        if parts:
-            parts_by_prime[q] = parts
-    length = max((len(parts) for parts in parts_by_prime.values()), default=0)
-    chain = []
-    for j in range(length):
-        d = 1
-        for q, parts in parts_by_prime.items():
-            if j < len(parts):
-                d *= q ** parts[j]
-        chain.append(d)
-    return tuple(reversed(chain))
+    Returned as a subgroup of ``abelian_group(m.profile.moduli)``: element
+    index = ``v.rank()``, the last coordinate fastest (``profile.coords_of``
+    inverts it)."""
+    fixed = {v.rank() for v in m.profile.elements() if mat_apply(m, v) == v}
+    return _kernel_subgroup(m.profile, fixed)
 
 
-def _greedy_generating_set(preference: Sequence, target: int, span) -> list:
-    """Greedy generating set of a (sub)group of order ``target``, pruned so
-    that no member is redundant.
+def image_subgroup(m: MixedModulusMatrix) -> Subgroup:
+    """The image {m(v) : v in N} of a (not necessarily invertible) map.
 
-    Each step adds the first element of ``preference`` not yet in
-    ``span(gens)``.  Dropping a member never makes an earlier one redundant,
-    so one pass of pruning suffices.  Irredundant generating sets of a finite
-    p-group all have the minimal size.
-    """
-    if target <= 1:
-        return []
-    gens: list = []
-    closure = span(gens)
-    while len(closure) < target:
-        gens.append(next(x for x in preference if x not in closure))
-        closure = span(gens)
-    i = 0
-    while i < len(gens):
-        rest = gens[:i] + gens[i + 1 :]
-        if len(span(rest)) == target:
-            gens = rest
-        else:
-            i += 1
-    return gens
-
-
-def minimal_generating_set(
-    elements: Sequence[AbelianElement], profile: ModulusProfile
-) -> tuple[AbelianElement, ...]:
-    """Minimal generating set (highest order first, then pruned), listed with
-    the largest coordinates first."""
-
-    def span(generators: Sequence[AbelianElement]) -> set[AbelianElement]:
-        zero = profile.zero()
-        seen = {zero}
-        queue = [zero]
-        while queue:
-            x = queue.pop()
-            for g in generators:
-                y = x + g
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
-    by_preference = sorted(elements, key=lambda e: (-e.order(), e.coords))
-    gens = _greedy_generating_set(by_preference, len(elements), span)
-    return tuple(sorted(gens, key=lambda e: e.coords, reverse=True))
-
-
-def _subgroup_from_elements(
-    elements: set[AbelianElement], profile: ModulusProfile
-) -> AbelianSubgroup:
-    ordered = tuple(sorted(elements, key=lambda e: e.coords))
-    return AbelianSubgroup(profile, ordered, minimal_generating_set(ordered, profile))
-
-
-def fixed_points(m: MixedModulusMatrix) -> AbelianSubgroup:
-    """All v with m(v) = v; a subgroup since the map is linear."""
-    fixed = {v for v in m.profile.elements() if mat_apply(m, v) == v}
-    return _subgroup_from_elements(fixed, m.profile)
-
-
-def image_subgroup(m: MixedModulusMatrix) -> AbelianSubgroup:
-    """The image {m(v) : v in N} of a (not necessarily invertible) map."""
-    image = {mat_apply(m, v) for v in m.profile.elements()}
-    return _subgroup_from_elements(image, m.profile)
+    Returned as a subgroup of ``abelian_group(m.profile.moduli)``: element
+    index = ``v.rank()``, the last coordinate fastest (``profile.coords_of``
+    inverts it)."""
+    image = {mat_apply(m, v).rank() for v in m.profile.elements()}
+    return _kernel_subgroup(m.profile, image)
 
 
 # ---------------------------------------------------------------------------

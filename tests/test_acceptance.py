@@ -126,9 +126,9 @@ def test_criterion_3_table1_reproduction():
                 (
                     r.tau_label,
                     r.tau.entries,
-                    [g.coords for g in r.fixed_subgroup.generators],
+                    [r.tau.profile.coords_of(g) for g in r.fixed_subgroup.generators],
                     r.norm.entries,
-                    [g.coords for g in r.image.generators],
+                    [r.tau.profile.coords_of(g) for g in r.image.generators],
                     [v.coords for v in r.v_choices],
                 )
                 for r in emit_table1(ClassifyConfig.for_prime(p))

@@ -66,7 +66,13 @@ class TestConfig:
 
     def test_large_prime_uses_no_residue_table(self):
         # Euler's criterion: no O(p) set of squares for p = 2^31 - 1.
-        assert ClassifyConfig.for_prime(2147483647).epsilon == 3
+        assert least_nonresidue(2147483647) == 3
+
+    def test_rejects_prime_above_bound(self):
+        with pytest.raises(ValueError, match="<= 97"):
+            ClassifyConfig.for_prime(101)
+        with pytest.raises(ValueError, match="<= 97"):
+            ClassifyConfig(101, 2)
 
 
 class TestTauCatalog:
@@ -252,9 +258,10 @@ class TestTable1:
         for row, (label, tau, fixed_gens, norm, image_gens, v_choices) in zip(rows, expected):
             assert row.tau_label == label
             assert row.tau.entries == tau
-            assert [g.coords for g in row.fixed_subgroup.generators] == fixed_gens
+            coords_of = row.tau.profile.coords_of
+            assert [coords_of(g) for g in row.fixed_subgroup.generators] == fixed_gens
             assert row.norm.entries == norm
-            assert [g.coords for g in row.image.generators] == image_gens
+            assert [coords_of(g) for g in row.image.generators] == image_gens
             assert [v.coords for v in row.v_choices] == v_choices
 
     def test_render_contains_epsilon_row(self, cfg3):

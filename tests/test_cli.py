@@ -64,6 +64,27 @@ class TestClassifyCommand:
         assert code == 2
         assert "--force" in err
 
+    @pytest.mark.parametrize("command", ["classify", "tables", "verify"])
+    def test_forced_p_above_bound_is_usage_error(self, capsys, command):
+        code, out, err = run(capsys, command, "--p", "101", "--force")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "p must be <= 97" in err
+
+    @pytest.mark.parametrize("command", ["classify", "tables", "verify"])
+    def test_forced_huge_prime_rejected_before_primality_test(self, capsys, monkeypatch,
+                                                              command):
+        def no_trial_division(n):
+            raise AssertionError(f"is_prime({n}) called on a p above the bound")
+
+        monkeypatch.setattr("p4groups.residues.is_prime", no_trial_division)
+        monkeypatch.setattr("p4groups.classify.is_prime", no_trial_division)
+        code, _, err = run(capsys, command, "--p", "1000000000000000000000000000057", "--force")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "p must be <= 97" in err
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "classify", "--p", "3", "--format", "json")
         assert code == 0

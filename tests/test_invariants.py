@@ -5,9 +5,13 @@ subgroup, normality, the low-order commuting flag and the p-power quotient
 flag are computed in the library from row searches and from generators.
 Each is compared, on every p = 3 candidate group and the five abelian groups
 of order 81, with the definition evaluated over all elements or all pairs.
+A property test renumbers the candidates and checks that the invariants and
+the oracle do not depend on the numbering.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p4groups.classify import ClassifyConfig, abelian_catalog, candidate_types
 from p4groups.extension import build_group
@@ -18,15 +22,16 @@ from p4groups.groups import (
     cyclic_group,
     derived_subgroup,
     fingerprint,
+    isomorphic,
     quotient,
     subgroup_generated,
     verify_group_axioms,
 )
+from test_groups import _check_witness
 
 CFG3 = ClassifyConfig.for_prime(3)
-GROUPS3 = [(c.label, build_group(c.ext)) for c in candidate_types(CFG3)] + [
-    (label, g) for label, _, g in abelian_catalog(CFG3)
-]
+CANDIDATES3 = [(c.label, build_group(c.ext)) for c in candidate_types(CFG3)]
+GROUPS3 = CANDIDATES3 + [(label, g) for label, _, g in abelian_catalog(CFG3)]
 
 
 @pytest.fixture(params=GROUPS3, ids=[label for label, _ in GROUPS3])
@@ -155,3 +160,28 @@ def test_subgroup_generators_must_generate_its_elements():
     g = cyclic_group(9)
     with pytest.raises(ValueError, match="closure of its generators"):
         Subgroup(g, (0, 3, 6), ())
+
+
+def relabel(g, perm):
+    """The copy of g in which element i is called perm[i]."""
+    table = [0] * (g.size * g.size)
+    for i in range(g.size):
+        for j in range(g.size):
+            table[perm[i] * g.size + perm[j]] = perm[g.mul(i, j)]
+    return FiniteGroup(table, g.size)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    candidate=st.sampled_from(CANDIDATES3),
+    moved=st.permutations(range(1, 81)),
+)
+def test_relabelled_candidate_is_isomorphic(candidate, moved):
+    # The generating sequence, center and derived subgroup are recomputed
+    # under the new numbering; the identity keeps index 0.
+    _, g = candidate
+    h = relabel(g, [0, *moved])
+    assert fingerprint(h) == fingerprint(g)
+    ok, witness = isomorphic(g, h)
+    assert ok
+    _check_witness(g, h, witness)

@@ -6,19 +6,18 @@ from itertools import product
 
 import pytest
 
+from p4groups.groups import abelian_group, invariant_factors_from_orders
 from p4groups.residues import (
     MixedModulusMatrix,
     ModulusProfile,
     fixed_points,
     image_subgroup,
-    invariant_factors_from_orders,
     jordan_reduce,
     mat_apply,
     mat_inverse,
     mat_mul,
     mat_order,
     mat_pow,
-    minimal_generating_set,
     norm_matrix,
 )
 
@@ -67,6 +66,15 @@ class TestProfile:
             assert e.rank() == i
             assert prof.coords_of(i) == e.coords
 
+    @pytest.mark.parametrize("prof", [mixed(3), elem3(3)], ids=["p2xp", "pxpxp"])
+    def test_kernel_group_numbering(self, prof):
+        # abelian_group(moduli) numbers its elements by rank, so its product
+        # is coordinate addition.
+        kernel = abelian_group(prof.moduli)
+        for a in prof.elements():
+            for b in prof.elements():
+                assert kernel.mul(a.rank(), b.rank()) == (a + b).rank()
+
 
 class TestAbelianElement:
     def test_reduction_and_addition(self):
@@ -77,11 +85,14 @@ class TestAbelianElement:
         assert (a + b).coords == (0, 0)
         assert (-b).coords == (1, 1)
 
-    def test_order(self):
+    def test_order_in_kernel_group(self):
+        # The kernel group numbers elements by rank, so additive orders are
+        # read off its element orders.
         prof = mixed(3)
-        assert prof.zero().order() == 1
-        assert prof.element((1, 0)).order() == 9
-        assert prof.element((3, 1)).order() == 3
+        orders = abelian_group(prof.moduli).element_orders
+        assert orders[prof.zero().rank()] == 1
+        assert orders[prof.element((1, 0)).rank()] == 9
+        assert orders[prof.element((3, 1)).rank()] == 3
 
     def test_profile_mismatch(self):
         with pytest.raises(ValueError):
@@ -270,15 +281,23 @@ class TestFixedPoints:
     def test_shear_fixes_first_axis(self):
         prof = mixed(3)
         sub = fixed_points(mat([[1, 3], [0, 1]], prof))
-        assert [g.coords for g in sub.generators] == [(1, 0)]
+        assert [prof.coords_of(g) for g in sub.generators] == [(1, 0)]
         assert sub.order == 9
-        assert all(e.coords[1] == 0 for e in sub.elements)
+        assert all(prof.coords_of(e)[1] == 0 for e in sub.elements)
 
     def test_scaling_fixed_subgroup(self):
         prof = mixed(3)
         sub = fixed_points(mat([[4, 0], [0, 1]], prof))
-        assert [g.coords for g in sub.generators] == [(3, 0), (0, 1)]
+        assert [prof.coords_of(g) for g in sub.generators] == [(3, 0), (0, 1)]
         assert sub.order == 9
+
+    def test_elements_are_ranks(self):
+        prof = mixed(5)
+        m = mat([[1, 5], [1, 1]], prof)
+        sub = fixed_points(m)
+        assert sub.parent.size == prof.order
+        assert set(sub.elements) == {v.rank() for v in prof.elements() if mat_apply(m, v) == v}
+        assert list(sub.generators) == sorted(sub.generators, reverse=True)
 
     def test_identity_fixes_everything(self):
         prof = mixed(3)
@@ -287,11 +306,12 @@ class TestFixedPoints:
     def test_closed_under_addition_and_negation(self):
         prof = mixed(5)
         sub = fixed_points(mat([[1, 5], [1, 1]], prof))
+        kernel = sub.parent
         els = set(sub.elements)
         for a in els:
-            assert -a in els
+            assert kernel.inv(a) in els
             for b in els:
-                assert a + b in els
+                assert kernel.mul(a, b) in els
 
 
 class TestNormMatrix:
@@ -329,7 +349,7 @@ class TestImageSubgroup:
     def test_scaled_axis(self):
         prof = mixed(3)
         sub = image_subgroup(mat([[3, 0], [0, 0]], prof))
-        assert [g.coords for g in sub.generators] == [(3, 0)]
+        assert [prof.coords_of(g) for g in sub.generators] == [(3, 0)]
         assert sub.order == 3
 
     def test_zero_map(self):
@@ -342,7 +362,7 @@ class TestImageSubgroup:
         prof = elem3(3)
         m = mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]], prof)
         sub = image_subgroup(m)
-        assert [g.coords for g in sub.generators] == [(1, 0, 0)]
+        assert [prof.coords_of(g) for g in sub.generators] == [(1, 0, 0)]
 
 
 class TestJordanReduce:
@@ -391,7 +411,7 @@ class TestJordanReduce:
 class TestInvariantFactors:
     def test_kernel_carrier(self):
         prof = mixed(3)
-        orders = [e.order() for e in prof.elements()]
+        orders = abelian_group(prof.moduli).element_orders
         assert invariant_factors_from_orders(orders) == (3, 9)
 
     def test_trivial(self):
@@ -402,7 +422,6 @@ class TestInvariantFactors:
         sub = fixed_points(mat([[4, 0], [0, 1]], prof))
         assert sub.invariant_factors() == (3, 3)
 
-    def test_minimal_generating_set_is_minimal(self):
+    def test_kernel_generating_sequence_is_minimal(self):
         prof = mixed(3)
-        gens = minimal_generating_set(list(prof.elements()), prof)
-        assert len(gens) == 2
+        assert len(abelian_group(prof.moduli).generating_sequence) == 2
