@@ -11,6 +11,7 @@ the end of every run, is 10 nonabelian classes and 5 abelian ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .extension import ExtensionType, build_group, validate_type
@@ -110,6 +111,59 @@ def tau_candidates(cfg: ClassifyConfig, profile: ModulusProfile) -> list[MixedMo
     return [m for _, m in tau_catalog(cfg) if m.profile == profile]
 
 
+@dataclass(frozen=True)
+class _TauKernel:
+    """What the tables, the v candidates and the census read off one tau:
+    its fixed subgroup, its norm matrix for n = p and the norm image."""
+
+    fixed: Subgroup
+    norm: MixedModulusMatrix
+    image: Subgroup
+
+    @cached_property
+    def v_choices(self) -> tuple[AbelianElement, ...]:
+        """The v candidates of tau; see ``v_candidates``."""
+        fixed, image = self.fixed, self.image
+        profile = self.norm.profile
+        p = profile.p
+        kernel = fixed.parent  # elements are ranks; the least rank has the least coordinates
+
+        cosets: list[frozenset[int]] = []
+        assigned: set[int] = set()
+        for x in fixed.elements:
+            if x in assigned:
+                continue
+            coset = frozenset(kernel.mul(x, h) for h in image.elements)
+            cosets.append(coset)
+            assigned.update(coset)
+
+        coset_of = {x: idx for idx, coset in enumerate(cosets) for x in coset}
+        units = [u for u in range(1, p * p) if u % p != 0]
+
+        reps: list[AbelianElement] = []
+        consumed: set[int] = set()
+        for idx, coset in enumerate(cosets):
+            if idx in consumed:
+                continue
+            pivot = min(coset)
+            orbit_members: set[int] = set()
+            for u in units:
+                scaled = coset_of[kernel.power(pivot, u)]
+                consumed.add(scaled)
+                orbit_members.update(cosets[scaled])
+            reps.append(profile.element(profile.coords_of(min(orbit_members))))
+        return tuple(reps)
+
+
+@lru_cache(maxsize=8)
+def _tau_kernel(tau: MixedModulusMatrix) -> _TauKernel:
+    """Fixed subgroup, norm and norm image of tau, computed once per tau (the
+    catalog has seven) and shared by both tables, the v candidates and the
+    census closed form."""
+    norm = norm_matrix(tau, tau.profile.p)
+    return _TauKernel(fixed_points(tau), norm, image_subgroup(norm))
+
+
 def v_candidates(cfg: ClassifyConfig, tau: MixedModulusMatrix) -> list[AbelianElement]:
     """Candidate v values for a catalog automorphism.
 
@@ -118,37 +172,7 @@ def v_candidates(cfg: ClassifyConfig, tau: MixedModulusMatrix) -> list[AbelianEl
     to p (equal subgroups of the fixed group give the same class).  The zero
     element always comes first; the rest are ordered by their least member.
     """
-    p = cfg.p
-    profile = tau.profile
-    fixed = fixed_points(tau)
-    image = image_subgroup(norm_matrix(tau, p))
-    kernel = fixed.parent  # elements are ranks; the least rank has the least coordinates
-
-    cosets: list[frozenset[int]] = []
-    assigned: set[int] = set()
-    for x in fixed.elements:
-        if x in assigned:
-            continue
-        coset = frozenset(kernel.mul(x, h) for h in image.elements)
-        cosets.append(coset)
-        assigned.update(coset)
-
-    coset_of = {x: idx for idx, coset in enumerate(cosets) for x in coset}
-    units = [u for u in range(1, p * p) if u % p != 0]
-
-    reps: list[AbelianElement] = []
-    consumed: set[int] = set()
-    for idx, coset in enumerate(cosets):
-        if idx in consumed:
-            continue
-        pivot = min(coset)
-        orbit_members: set[int] = set()
-        for u in units:
-            scaled = coset_of[kernel.power(pivot, u)]
-            consumed.add(scaled)
-            orbit_members.update(cosets[scaled])
-        reps.append(profile.element(profile.coords_of(min(orbit_members))))
-    return reps
+    return list(_tau_kernel(tau).v_choices)
 
 
 def v_label(v: AbelianElement) -> str:
@@ -198,7 +222,7 @@ def census_closed_form(t: ExtensionType) -> int:
     if t.n != p:
         raise ValueError("closed-form census requires quotient order n = p")
     base = p * p if t.profile.shape == SHAPE_MIXED else p ** 3
-    image = image_subgroup(norm_matrix(t.tau, p))
+    image = _tau_kernel(t.tau).image
     if t.v.rank() in image:
         return base + (p - 1) * (t.profile.order // image.order)
     return base
@@ -482,14 +506,12 @@ def emit_table1(cfg: ClassifyConfig) -> list[Table1Row]:
     """
     rows = []
     for tau_name, tau in tau_catalog(cfg):
-        fixed = fixed_points(tau)
-        norm = norm_matrix(tau, cfg.p)
-        image = image_subgroup(norm)
+        k = _tau_kernel(tau)
         if tau_name == "3x3-J2":
             choices: tuple[AbelianElement, ...] = (tau.profile.zero(),)
         else:
-            choices = tuple(v_candidates(cfg, tau))
-        rows.append(Table1Row(tau_name, tau, fixed, norm, image, choices))
+            choices = k.v_choices
+        rows.append(Table1Row(tau_name, tau, k.fixed, k.norm, k.image, choices))
     return rows
 
 
@@ -524,7 +546,7 @@ def emit_table2(cfg: ClassifyConfig) -> list[Table2Row]:
     rows = []
     for tau_name, tau, v in _table2_pairs(cfg):
         ext = ExtensionType(tau.profile, cfg.p, tau, v)
-        invariants = fixed_points(tau).invariant_factors()
+        invariants = _tau_kernel(tau).fixed.invariant_factors()
         census = census_closed_form(ext)
 
         group = build_group(ext)

@@ -16,7 +16,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import add, contains, itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -222,6 +222,11 @@ class FiniteGroup:
     @cached_property
     def fingerprint_value(self) -> "Fingerprint":
         return _compute_fingerprint(self)
+
+    @cached_property
+    def twist_count(self) -> int:
+        """The word-count invariant T(G) of ``_twist_count``."""
+        return _twist_count(self)
 
     def cayley_rows(self) -> Iterable[tuple[int, ...]]:
         n = self.size
@@ -591,17 +596,70 @@ def fingerprint(g: FiniteGroup) -> Fingerprint:
     return g.fingerprint_value
 
 
+def _twist_count(g: FiniteGroup) -> int:
+    """T(G): the number of pairs (x, y) with c = [[x, y], y] != e and
+    c = (x^p)^k for some k in 1..p-1 that is a square mod p, where p is the
+    least prime factor of |G| and [a, b] = a b a^-1 b^-1.
+
+    T counts the solutions of a fixed word equation, so it is an isomorphism
+    invariant of every finite group: an isomorphism maps the solutions in one
+    group one-to-one onto the solutions in the other.  It separates the two
+    maximal-class groups of order p^4 whose relations differ only by a
+    quadratic nonresidue, which no fingerprint field does for p >= 5.
+
+    Three shortcuts skip only terms that are zero, so the count is exact:
+    - class <= 2 (G' <= Z(G)): [[x, y], y] = e for every pair, so T = 0;
+    - x with x^p = e: the only target is e, which c != e rules out;
+    - y runs over the noncentral conjugacy-class representatives, each
+      weighted by its class size: conjugating x and y together preserves the
+      relation, and a central y gives c = e.
+    """
+    n = g.size
+    if n == 1:
+        return 0
+    t = g._table
+    e = g.identity_index
+    mul = g.mul
+    inv = g.inverses
+    gens = g.generating_sequence
+    # G' is the normal closure of the generator commutators; when these are
+    # central it is the subgroup they generate, so G' <= Z(G).
+    comms = {mul(mul(a, b), mul(inv[a], inv[b])) for a in gens for b in gens}
+    if all(mul(c, s) == mul(s, c) for c in comms for s in gens):
+        return 0
+    p = least_prime_factor(n)
+    squares = {k * k % p for k in range(1, p)}
+    xs: list[int] = []
+    targets: list[frozenset[int]] = []
+    for x in range(n):
+        xp = g.power(x, p)
+        if xp != e:
+            # No prime below p divides the order of x^p, so (x^p)^k != e for
+            # 0 < k < p: e is never a target.
+            xs.append(x)
+            targets.append(frozenset(g.power(xp, k) for k in squares))
+    _, sizes, reps = g.conjugacy
+    row_starts = range(0, n * n, n)
+    total = 0
+    for y in reps:
+        if sizes[y] == 1:
+            continue
+        # conj[z] = y z y^-1, so comm[z] = z conj[z^-1] = [z, y].
+        conj = _gather(t[inv[y]::n], t[y * n : (y + 1) * n])
+        comm = _gather(t, list(map(add, row_starts, _gather(conj, inv))))
+        cs = _gather(comm, _gather(comm, xs))
+        total += sizes[y] * sum(map(contains, targets, cs))
+    return total
+
+
 def isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> tuple[bool, Optional[list[int]]]:
     """Decide isomorphism; on success also return a witness mapping.
 
-    The search picks a pruned greedy generating sequence of g1 and backtracks
-    over image tuples in g2.  Candidate images must match cheap per-element
-    invariants and the commuting pattern with earlier generators; the partial
-    map is closed incrementally with consistency checks on every product, so
-    contradictions abort a branch early.  A fingerprint mismatch certifies
-    non-isomorphism without searching.  The witness, when returned, has been
-    re-verified as a bijective homomorphism.  The tables are read in place,
-    not copied.  Practical for orders <= 7^4.
+    A negative verdict has one of three certificates, tried in this order: a
+    fingerprint field that differs, a twist count (``FiniteGroup.twist_count``)
+    that differs, or an exhaustive search (``_search_isomorphism``) that finds
+    no isomorphism.  The witness, when returned, has been re-verified as a
+    bijective homomorphism.  Practical for orders <= 7^4.
     """
     if g1.size != g2.size:
         return False, None
@@ -612,7 +670,24 @@ def isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> tuple[bool, Optional[list[in
         return True, [g2.identity_index]
     if g1.fingerprint_value != g2.fingerprint_value:
         return False, None
+    if g1.twist_count != g2.twist_count:
+        return False, None
+    witness = _search_isomorphism(g1, g2)
+    return witness is not None, witness
 
+
+def _search_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> Optional[list[int]]:
+    """An isomorphism g1 -> g2 as an index map, or None when there is none.
+
+    The search picks a pruned greedy generating sequence of g1 and backtracks
+    over image tuples in g2.  Candidate images must match cheap per-element
+    invariants and the commuting pattern with earlier generators; the partial
+    map is closed incrementally with consistency checks on every product, so
+    contradictions abort a branch early.  The found map is re-verified as a
+    homomorphism before it is returned.  The tables are read in place, not
+    copied.
+    """
+    n = g1.size
     gens = list(g1.generating_sequence)
     k = len(gens)
     t1 = g1._table
@@ -714,7 +789,4 @@ def isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> tuple[bool, Optional[list[in
     known0 = [g1.identity_index]
     img0[g1.identity_index] = g2.identity_index
     used0[g2.identity_index] = 1
-    witness = search(0, img0, used0, known0, [], [])
-    if witness is None:
-        return False, None
-    return True, witness
+    return search(0, img0, used0, known0, [], [])

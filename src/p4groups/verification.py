@@ -161,14 +161,24 @@ def run_verification_suite(cfg: ClassifyConfig, seed: int = 0) -> list[CheckResu
         ("iso-pair-shared-relations", "2x2-r2-v-e2", "2x2-r3-v-e2", True),
         ("noniso-pair-split-v0", "2x2-r2-v0", "2x2-r3-v0", False),
     ]
-    if p > 3:
-        checks.append(("noniso-pair-residue-twist", "2x2-r4-v0", "2x2-r5-v0", False))
     for name, left, right, expected in checks:
         got, _ = isomorphic(groups[left], groups[right])
         results.append(CheckResult(
             name,
             got == expected,
             "" if got == expected else f"{left} vs {right}: got {got}, expected {expected}",
+        ))
+    if p > 3:
+        # No fingerprint field separates this pair above p = 3; its
+        # certificate is the twist count.
+        left, right = groups["2x2-r4-v0"], groups["2x2-r5-v0"]
+        got, _ = isomorphic(left, right)
+        ok = not got and left.twist_count != right.twist_count
+        results.append(CheckResult(
+            "noniso-pair-residue-twist",
+            ok,
+            "" if ok else f"2x2-r4-v0 vs 2x2-r5-v0: isomorphic {got}, "
+                          f"twist counts {left.twist_count} and {right.twist_count}",
         ))
 
     results.append(_check_transforms(cfg, cands, groups, exhaustive))

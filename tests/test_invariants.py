@@ -5,8 +5,10 @@ subgroup, normality, the low-order commuting flag and the p-power quotient
 flag are computed in the library from row searches and from generators.
 Each is compared, on every p = 3 candidate group and the five abelian groups
 of order 81, with the definition evaluated over all elements or all pairs.
-A property test renumbers the candidates and checks that the invariants and
-the oracle do not depend on the numbering.
+So is the twist count, also on the residue-twist pair at p = 5, the one pair
+that no fingerprint field separates.  A property test renumbers the
+candidates and checks that the invariants and the oracle do not depend on the
+numbering.
 """
 
 import pytest
@@ -14,15 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p4groups.classify import ClassifyConfig, abelian_catalog, candidate_types
+from p4groups import groups as groups_module
 from p4groups.extension import build_group
 from p4groups.groups import (
     FiniteGroup,
     Subgroup,
+    _twist_count,
     center,
     cyclic_group,
     derived_subgroup,
     fingerprint,
     isomorphic,
+    least_prime_factor,
     quotient,
     subgroup_generated,
     verify_group_axioms,
@@ -73,6 +78,38 @@ def brute_is_normal(g, elements):
     return all(g.mul(g.mul(c, h), inv[c]) in elements for c in range(g.size) for h in elements)
 
 
+def brute_twist_count(g):
+    """T(G) by its definition, over every pair of G x G."""
+    p = least_prime_factor(g.size)
+    e = g.identity_index
+    inv = g.inverses
+    squares = {k * k % p for k in range(1, p)}
+
+    def comm(a, b):
+        return g.mul(g.mul(a, b), g.mul(inv[a], inv[b]))
+
+    count = 0
+    for x in range(g.size):
+        xp = g.power(x, p)
+        targets = {g.power(xp, k) for k in squares}
+        for y in range(g.size):
+            c = comm(comm(x, y), y)
+            count += c != e and c in targets
+    return count
+
+
+def twist_pair(p):
+    """The two maximal-class groups whose relations differ by the nonresidue."""
+    labels = ("2x2-r4-v0", "2x2-r5-v0")
+    cands = {c.label: c for c in candidate_types(ClassifyConfig.for_prime(p))}
+    return tuple(build_group(cands[label].ext) for label in labels)
+
+
+@pytest.fixture(scope="module")
+def twist_pair5():
+    return twist_pair(5)
+
+
 def test_inverses(group):
     assert group.inverses == brute_inverses(group)
 
@@ -105,6 +142,32 @@ def test_power_quotient_abelian(group):
     power_sub = subgroup_generated(group, {group.power(x, 3) for x in range(group.size)})
     q = quotient(group, power_sub)
     assert fingerprint(group).power_quotient_abelian == brute_commute(q, range(q.size))
+
+
+def test_twist_count(group):
+    assert _twist_count(group) == brute_twist_count(group)
+
+
+def test_twist_count_separates_the_residue_twist_pair_at_p5(twist_pair5):
+    r4, r5 = twist_pair5
+    assert fingerprint(r4) == fingerprint(r5)
+    assert [_twist_count(g) for g in twist_pair5] == [130000, 80000]
+    assert [brute_twist_count(g) for g in twist_pair5] == [130000, 80000]
+
+
+def test_residue_twist_pair_is_rejected_without_a_search(twist_pair5, monkeypatch):
+    def no_search(g1, g2):
+        raise AssertionError("the twist count should have decided this pair")
+
+    monkeypatch.setattr(groups_module, "_search_isomorphism", no_search)
+    assert isomorphic(*twist_pair5) == (False, None)
+
+
+@pytest.mark.slow
+def test_residue_twist_pair_at_p7():
+    r4, r5 = twist_pair(7)
+    assert (r4.twist_count, r5.twist_count) == (2160900, 1555848)
+    assert isomorphic(r4, r5) == (False, None)
 
 
 def test_quotient_accepts_exactly_the_normal_cyclic_subgroups(group):
@@ -182,6 +245,7 @@ def test_relabelled_candidate_is_isomorphic(candidate, moved):
     _, g = candidate
     h = relabel(g, [0, *moved])
     assert fingerprint(h) == fingerprint(g)
+    assert h.twist_count == g.twist_count
     ok, witness = isomorphic(g, h)
     assert ok
     _check_witness(g, h, witness)
