@@ -76,10 +76,12 @@ class FiniteGroup:
     def __init__(self, table: Union[Sequence[int], array], size: int):
         if size < 1:
             raise ValueError("group size must be positive")
-        flat = table if isinstance(table, array) else array("i", table)
+        flat = table if isinstance(table, array) and table.typecode == "i" else array("i", table)
         if len(flat) != size * size:
             raise ValueError(f"table must have {size * size} entries, got {len(flat)}")
-        if min(flat) < 0 or max(flat) >= size:
+        # One pass over the entries read as unsigned: a negative entry reads
+        # as at least 2^31, so it fails the same bound as an entry >= size.
+        if max(memoryview(flat).cast("B").cast("I")) >= size:
             raise ValueError("table entries must be element indices in range")
         self.size = size
         self._table = flat
@@ -196,25 +198,49 @@ class FiniteGroup:
         return class_id, sizes, reps
 
     @cached_property
-    def element_keys(self) -> list[tuple[int, int, int]]:
-        """Cheap per-element isomorphism invariants used to pair up candidate
-        generator images: (order, conjugacy class size, order of p-th power)."""
-        p = least_prime_factor(self.size) if self.size > 1 else 1
-        _, sizes, _ = self.conjugacy
-        # x^p has order o / gcd(o, p) when x has order o.
-        return [(o, s, o // math.gcd(o, p)) for o, s in zip(self.element_orders, sizes)]
+    def derived_elements(self) -> frozenset[int]:
+        """The commutator subgroup G', computed once for ``derived_subgroup``
+        and the element keys: the normal closure of the commutators of the
+        generators, taken by adding generator conjugates until none is new."""
+        mul = self.mul
+        inv = self.inverses
+        gens = self.generating_sequence
+        seeds = {mul(mul(a, b), mul(inv[a], inv[b])) for a in gens for b in gens}
+        current = set(self.closure(seeds))
+        while extra := _conjugates(self, seeds) - current:
+            seeds |= extra
+            current = set(self.closure(seeds))
+        return frozenset(current)
 
     @cached_property
-    def elements_by_key(self) -> dict[tuple[int, int, int], tuple[int, ...]]:
-        out: dict[tuple[int, int, int], list[int]] = {}
+    def element_keys(self) -> list[tuple[int, int, int, bool]]:
+        """Cheap per-element isomorphism invariants used to pair up candidate
+        generator images: (order, conjugacy class size, order of x^p, whether
+        x^p lies in G'), p the least prime factor of |G|.
+
+        An isomorphism f preserves orders and class sizes, maps x^p to f(x)^p,
+        and maps G' onto G' (G' is characteristic), so every field of x equals
+        the same field of f(x)."""
+        p = least_prime_factor(self.size) if self.size > 1 else 1
+        _, sizes, _ = self.conjugacy
+        derived = self.derived_elements
+        # x^p has order o / gcd(o, p) when x has order o.
+        return [
+            (o, s, o // math.gcd(o, p), self.power(x, p) in derived)
+            for x, (o, s) in enumerate(zip(self.element_orders, sizes))
+        ]
+
+    @cached_property
+    def elements_by_key(self) -> dict[tuple[int, int, int, bool], tuple[int, ...]]:
+        out: dict[tuple[int, int, int, bool], list[int]] = {}
         for i, key in enumerate(self.element_keys):
             out.setdefault(key, []).append(i)
         return {k: tuple(v) for k, v in out.items()}
 
     @cached_property
-    def class_reps_by_key(self) -> dict[tuple[int, int, int], tuple[int, ...]]:
+    def class_reps_by_key(self) -> dict[tuple[int, int, int, bool], tuple[int, ...]]:
         _, _, reps = self.conjugacy
-        out: dict[tuple[int, int, int], list[int]] = {}
+        out: dict[tuple[int, int, int, bool], list[int]] = {}
         for r in sorted(reps):
             out.setdefault(self.element_keys[r], []).append(r)
         return {k: tuple(v) for k, v in out.items()}
@@ -422,20 +448,8 @@ def _conjugates(g: FiniteGroup, xs: Iterable[int]) -> set[int]:
 
 
 def derived_subgroup(g: FiniteGroup) -> Subgroup:
-    """Commutator subgroup: the normal closure of the commutators of the
-    generators, taken by adding generator conjugates until none is new."""
-    mul = g.mul
-    inv = g.inverses
-    gens = g.generating_sequence
-    seeds = {mul(mul(a, b), mul(inv[a], inv[b])) for a in gens for b in gens}
-    current = set(g.closure(seeds))
-    while True:
-        extra = _conjugates(g, seeds) - current
-        if not extra:
-            break
-        seeds |= extra
-        current = set(g.closure(seeds))
-    elements = tuple(sorted(current))
+    """Commutator subgroup, on the elements ``FiniteGroup.derived_elements``."""
+    elements = tuple(sorted(g.derived_elements))
     return Subgroup(g, elements, _small_generating_subset(g, elements))
 
 
@@ -680,12 +694,14 @@ def _search_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> Optional[list[int]]
     """An isomorphism g1 -> g2 as an index map, or None when there is none.
 
     The search picks a pruned greedy generating sequence of g1 and backtracks
-    over image tuples in g2.  Candidate images must match cheap per-element
-    invariants and the commuting pattern with earlier generators; the partial
-    map is closed incrementally with consistency checks on every product, so
-    contradictions abort a branch early.  The found map is re-verified as a
-    homomorphism before it is returned.  The tables are read in place, not
-    copied.
+    over image tuples in g2.  Candidate images must match the per-element
+    invariants of ``FiniteGroup.element_keys`` and the commuting pattern with
+    earlier generators.  One partial map is extended in place: each candidate
+    closes it over the products with the assigned generators, checking every
+    product, so a contradiction aborts the branch early; on backtrack the
+    elements the candidate added are unassigned again.  The found map is
+    re-verified as a homomorphism before it is returned.  The tables are read
+    in place, not copied.
     """
     n = g1.size
     gens = list(g1.generating_sequence)
@@ -705,35 +721,28 @@ def _search_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> Optional[list[int]]
     # Right multiplication by each generator of g1: column s of the table.
     right1 = [t1[s::n] for s in gens]
 
-    def close(img: list[int], used: bytearray, known: list[int],
-              right: list[tuple[array, array]], start: int) -> bool:
-        # New generator sits at known[start]; right holds, per assigned
-        # generator s, right multiplication by s in g1 and by img[s] in g2,
-        # the new one last.  Check the new generator's edges against the old
-        # elements, then propagate products of every new element with every
-        # assigned generator.
-        r1, r2 = right[-1]
-        for idx in range(start):
-            x = known[idx]
-            y = r1[x]
-            w = r2[img[x]]
-            cur = img[y]
-            if cur < 0:
-                if used[w]:
-                    return False
-                img[y] = w
-                used[w] = 1
-                known.append(y)
-            elif cur != w:
-                return False
-        ptr = start
-        while ptr < len(known):
-            y = known[ptr]
-            ptr += 1
-            iy = img[y]
-            for r1, r2 in right:
+    # The partial map: img[x] is the image of x or -1, used[y] marks the
+    # assigned images, and known lists the assigned elements in the order they
+    # were assigned.  images[d] is the image of gens[d].
+    img = [-1] * n
+    used = bytearray(n)
+    known = [g1.identity_index]
+    img[g1.identity_index] = g2.identity_index
+    used[g2.identity_index] = 1
+    images: list[int] = []
+
+    def close(depth: int, start: int) -> bool:
+        # The new generator sits at known[start].  Multiply each element
+        # assigned before it by the new generator only, and each element from
+        # known[start] on by every assigned generator; x*s must map to
+        # img[x]*img[s].
+        new = [(right1[depth], images[depth])]
+        right = list(zip(right1, images))
+        for ptr, y in enumerate(known):
+            iy = img[y] * n
+            for r1, c in new if ptr < start else right:
                 z = r1[y]
-                w = r2[iy]
+                w = t2[iy + c]
                 cur = img[z]
                 if cur < 0:
                     if used[w]:
@@ -745,8 +754,7 @@ def _search_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> Optional[list[int]]
                     return False
         return True
 
-    def search(depth: int, img: list[int], used: bytearray, known: list[int],
-               images: list[int], right: list[tuple[array, array]]) -> Optional[list[int]]:
+    def search(depth: int) -> bool:
         if depth == k:
             if len(known) != n:
                 raise AssertionError("generating sequence failed to generate")
@@ -755,38 +763,26 @@ def _search_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> Optional[list[int]]
                 ii = img[i] * n
                 if _gather(img, t1[i * n : (i + 1) * n]) != _gather(t2[ii : ii + n], img):
                     raise AssertionError("witness failed full homomorphism check")
-            return img
+            return True
         s = gens[depth]
         pool = reps_by_key if depth == 0 else buckets
         pattern = patterns[depth]
+        start = len(known)
         for cand in pool.get(key1[s], ()):
-            if used[cand]:
+            if used[cand] or any((t2[cand * n + c] == t2[c * n + cand]) != want
+                                 for c, want in zip(images, pattern)):
                 continue
-            ok = True
-            for j, want in enumerate(pattern):
-                tj = images[j]
-                if (t2[cand * n + tj] == t2[tj * n + cand]) != want:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            img2 = img.copy()
-            used2 = bytearray(used)
-            known2 = known.copy()
-            start = len(known2)
-            img2[s] = cand
-            used2[cand] = 1
-            known2.append(s)
-            right2 = right + [(right1[depth], t2[cand::n])]
-            if close(img2, used2, known2, right2, start):
-                result = search(depth + 1, img2, used2, known2, images + [cand], right2)
-                if result is not None:
-                    return result
-        return None
+            images.append(cand)
+            img[s] = cand
+            used[cand] = 1
+            known.append(s)
+            if close(depth, start) and search(depth + 1):
+                return True
+            for x in known[start:]:
+                used[img[x]] = 0
+                img[x] = -1
+            del known[start:]
+            images.pop()
+        return False
 
-    img0 = [-1] * n
-    used0 = bytearray(n)
-    known0 = [g1.identity_index]
-    img0[g1.identity_index] = g2.identity_index
-    used0[g2.identity_index] = 1
-    return search(0, img0, used0, known0, [], [])
+    return img if search(0) else None

@@ -1,6 +1,8 @@
 """Finite-group machinery: axiom verification, invariants, quotients, and the
 isomorphism oracle."""
 
+from array import array
+
 import pytest
 
 from p4groups.extension import ExtensionType, build_group
@@ -56,6 +58,20 @@ def groups3():
         "r4-v0": build_group(mixed_type(3, ((1, 3), (1, 1)), (0, 0))),
         "r5-v0": build_group(mixed_type(3, ((1, 6), (1, 1)), (0, 0))),
     }
+
+
+class TestTableValidation:
+    @pytest.mark.parametrize("bad", [-1, 3, -2**31])
+    @pytest.mark.parametrize("container", [list, lambda t: array("i", t)], ids=["list", "array"])
+    def test_out_of_range_entry_rejected(self, bad, container):
+        table = list(cyclic_group(3)._table)
+        table[4] = bad
+        with pytest.raises(ValueError, match="element indices in range"):
+            FiniteGroup(container(table), 3)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="must have 4 entries"):
+            FiniteGroup([0, 1, 1], 2)
 
 
 class TestVerifyGroupAxioms:

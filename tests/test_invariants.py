@@ -1,15 +1,18 @@
 """The fast invariants against brute-force definitions written out here.
 
 Inverses, conjugacy classes, commutativity of subgroups, the derived
-subgroup, normality, the low-order commuting flag and the p-power quotient
-flag are computed in the library from row searches and from generators.
-Each is compared, on every p = 3 candidate group and the five abelian groups
-of order 81, with the definition evaluated over all elements or all pairs.
-So is the twist count, also on the residue-twist pair at p = 5, the one pair
-that no fingerprint field separates.  A property test renumbers the
-candidates and checks that the invariants and the oracle do not depend on the
-numbering.
+subgroup, the per-element search keys, normality, the low-order commuting
+flag and the p-power quotient flag are computed in the library from row
+searches and from generators.  Each is compared, on every p = 3 candidate
+group and the five abelian groups of order 81, with the definition evaluated
+over all elements or all pairs.  So is the twist count, also on the
+residue-twist pair at p = 5, the one pair that no fingerprint field
+separates; on that pair the exhaustive search also runs to its negative end.
+A property test renumbers the candidates and checks that the invariants, the
+keys and the oracle do not depend on the numbering.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +81,14 @@ def brute_is_normal(g, elements):
     return all(g.mul(g.mul(c, h), inv[c]) in elements for c in range(g.size) for h in elements)
 
 
+def brute_derived(g):
+    """G' as the subgroup generated by every commutator of G x G."""
+    inv = brute_inverses(g)
+    return set(g.closure(
+        g.mul(g.mul(a, b), g.mul(inv[a], inv[b])) for a in range(g.size) for b in range(g.size)
+    ))
+
+
 def brute_twist_count(g):
     """T(G) by its definition, over every pair of G x G."""
     p = least_prime_factor(g.size)
@@ -124,13 +135,19 @@ def test_subgroup_is_abelian(group):
 
 
 def test_derived_subgroup(group):
-    inv = brute_inverses(group)
-    comms = {
-        group.mul(group.mul(a, b), group.mul(inv[a], inv[b]))
-        for a in range(group.size)
-        for b in range(group.size)
-    }
-    assert derived_subgroup(group).elements == tuple(group.closure(comms))
+    assert group.derived_elements == brute_derived(group)
+    assert derived_subgroup(group).elements == tuple(sorted(brute_derived(group)))
+
+
+def test_element_keys(group):
+    _, sizes, _ = brute_conjugacy(group)
+    derived = brute_derived(group)
+    want = []
+    for x in range(group.size):
+        xp = group.power(x, 3)
+        orders = [next(k for k in range(1, 82) if group.power(y, k) == 0) for y in (x, xp)]
+        want.append((orders[0], sizes[x], orders[1], xp in derived))
+    assert group.element_keys == want
 
 
 def test_low_order_commute(group):
@@ -161,6 +178,23 @@ def test_residue_twist_pair_is_rejected_without_a_search(twist_pair5, monkeypatc
 
     monkeypatch.setattr(groups_module, "_search_isomorphism", no_search)
     assert isomorphic(*twist_pair5) == (False, None)
+
+
+def test_exhaustive_search_finds_no_isomorphism(twist_pair5):
+    # isomorphic() certifies this pair by the twist count, so the search's
+    # negative branch, which undoes every rejected candidate, is run here.
+    r4, r5 = twist_pair5
+    assert groups_module._search_isomorphism(r4, r5) is None
+
+
+def test_search_maps_a_group_onto_its_relabelled_copy(twist_pair5):
+    g = twist_pair5[0]
+    moved = list(range(1, g.size))
+    random.Random(5).shuffle(moved)
+    h = relabel(g, [0, *moved])
+    witness = groups_module._search_isomorphism(g, h)
+    assert witness is not None
+    _check_witness(g, h, witness)
 
 
 @pytest.mark.slow
@@ -243,9 +277,11 @@ def test_relabelled_candidate_is_isomorphic(candidate, moved):
     # The generating sequence, center and derived subgroup are recomputed
     # under the new numbering; the identity keeps index 0.
     _, g = candidate
-    h = relabel(g, [0, *moved])
+    perm = [0, *moved]
+    h = relabel(g, perm)
     assert fingerprint(h) == fingerprint(g)
     assert h.twist_count == g.twist_count
+    assert all(h.element_keys[perm[x]] == g.element_keys[x] for x in range(g.size))
     ok, witness = isomorphic(g, h)
     assert ok
     _check_witness(g, h, witness)
