@@ -1,13 +1,16 @@
 """Finite-group machinery: axiom verification, invariants, quotients, and the
 isomorphism oracle."""
 
+import random
 from array import array
 
 import pytest
 
 from p4groups.extension import ExtensionType, build_group
 from p4groups.groups import (
+    _RANGE_CHUNK,
     FiniteGroup,
+    _entries_below,
     abelian_group,
     abelian_invariants,
     center,
@@ -60,18 +63,86 @@ def groups3():
     }
 
 
+def as_array(table):
+    """The table as an "i" array, or as a "q" array when an entry does not
+    fit in 32 bits."""
+    try:
+        return array("i", table)
+    except OverflowError:
+        return array("q", table)
+
+
 class TestTableValidation:
-    @pytest.mark.parametrize("bad", [-1, 3, -2**31])
-    @pytest.mark.parametrize("container", [list, lambda t: array("i", t)], ids=["list", "array"])
+    @pytest.mark.parametrize("bad", [-1, 3, -2**31, 2**31, -2**31 - 1])
+    @pytest.mark.parametrize("container", [list, as_array], ids=["list", "array"])
     def test_out_of_range_entry_rejected(self, bad, container):
         table = list(cyclic_group(3)._table)
         table[4] = bad
         with pytest.raises(ValueError, match="element indices in range"):
             FiniteGroup(container(table), 3)
 
+    def test_unsigned_entry_beyond_signed_32_bits_rejected(self):
+        with pytest.raises(ValueError, match="element indices in range"):
+            FiniteGroup(array("I", [2**32 - 1]), 1)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="must have 4 entries"):
             FiniteGroup([0, 1, 1], 2)
+
+
+class TestEntriesBelow:
+    """The chunked range check against its definition: the maximum entry,
+    read as unsigned, is below the bound."""
+
+    BOUNDS = [1, 2, 256, 257, 2401, 65536, 2**31 - 1]
+
+    @staticmethod
+    def reference(a, bound):
+        return max(memoryview(a).cast("B").cast("I")) < bound
+
+    @staticmethod
+    def values(bound):
+        return [0, 255, 256, 65535, 65536, bound - 1, bound, -1, -2**31, 2**31 - 1]
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_random_arrays(self, bound):
+        rng = random.Random(bound)
+        values = self.values(bound)
+        good = [v for v in values if 0 <= v < bound]
+        verdicts = set()
+        for length in (1, 2, 3, 7, 64):
+            for _ in range(40):
+                # Half the arrays draw every entry from all values; the rest
+                # draw from the good ones and then set one random entry.
+                if rng.random() < 0.5:
+                    a = array("i", [rng.choice(values) for _ in range(length)])
+                else:
+                    a = array("i", [rng.choice(good) for _ in range(length)])
+                    a[rng.randrange(length)] = rng.choice(values)
+                verdict = self.reference(a, bound)
+                assert _entries_below(a, bound) == verdict, list(a)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_bad_entry_in_the_last_partial_chunk(self, bound):
+        rng = random.Random(bound)
+        values = self.values(bound)
+        good = [v for v in values if 0 <= v < bound]
+        block = array("i", [rng.choice(good) for _ in range(1000)])
+        for length in (_RANGE_CHUNK + 1, 2 * _RANGE_CHUNK + 999):
+            a = (block * (length // 1000 + 1))[:length]
+            assert _entries_below(a, bound) and self.reference(a, bound)
+            last = length - length % _RANGE_CHUNK
+            for bad in values:
+                b = array("i", a)
+                b[rng.randrange(last, length)] = bad
+                assert _entries_below(b, bound) == self.reference(b, bound) == (0 <= bad < bound)
+
+    def test_bound_outside_the_supported_range_rejected(self):
+        for bound in (0, 2**31 + 1):
+            with pytest.raises(ValueError, match="bound must lie"):
+                _entries_below(array("i", [0]), bound)
 
 
 class TestVerifyGroupAxioms:

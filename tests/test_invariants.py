@@ -24,6 +24,7 @@ from p4groups.extension import build_group
 from p4groups.groups import (
     FiniteGroup,
     Subgroup,
+    _respects_generators,
     _twist_count,
     center,
     cyclic_group,
@@ -123,6 +124,47 @@ def twist_pair5():
 
 def test_inverses(group):
     assert group.inverses == brute_inverses(group)
+
+
+def test_inverses_at_p5(twist_pair5):
+    g = twist_pair5[0]
+    assert g.inverses == brute_inverses(g)
+
+
+def test_pth_powers(group):
+    assert group.pth_powers == [group.power(x, 3) for x in range(group.size)]
+
+
+def test_pth_powers_at_p5(twist_pair5):
+    g = twist_pair5[0]
+    assert g.pth_powers == [g.power(x, 5) for x in range(g.size)]
+
+
+def test_witness_is_checked_on_the_generators():
+    cands = dict(CANDIDATES3)
+    g1, g2 = cands["2x2-r2-v-e2"], cands["2x2-r3-v-e2"]
+    ok, witness = isomorphic(g1, g2)
+    assert ok
+    gens = g1.generating_sequence
+    assert _respects_generators(g1, g2, witness, gens)
+    # Swapping two images composes the witness with a transposition of g1,
+    # which is no automorphism: its fixed points would be a subgroup holding
+    # all but two of the 81 elements.
+    swapped = list(witness)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    assert not _respects_generators(g1, g2, swapped, gens)
+    # Moving the images one step along a coset y<s> keeps every product with
+    # s, so only the other generator can catch it.
+    s = gens[0]
+    y = next(x for x in range(g1.size) if x not in g1.closure([s]))
+    coset = [y]
+    while (nxt := g1.mul(coset[-1], s)) != y:
+        coset.append(nxt)
+    rotated = list(witness)
+    for x, x_next in zip(coset, coset[1:] + coset[:1]):
+        rotated[x] = witness[x_next]
+    assert _respects_generators(g1, g2, rotated, [s])
+    assert not _respects_generators(g1, g2, rotated, gens)
 
 
 def test_conjugacy(group):
