@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .groups import FiniteGroup, _direct_sum_table, _gather
+from .groups import FiniteGroup, _gather, _rotated, _translates
 from .residues import (
     AbelianElement,
     MixedModulusMatrix,
@@ -156,39 +156,42 @@ def build_group(t: ExtensionType) -> FiniteGroup:
     """Materialize the group of order |kernel| * n on pairs (x, a^i).
 
     Element indices are ordered lexicographically by (i, coordinates of x),
-    so (x, a^i) has index i*|kernel| + rank(x).  With tau = id and v = 0 the
-    floor form is the direct product C_n x kernel; the table is that direct
-    product's table with two changes, both made by slicing rather than one
-    step per entry.  In row (x, a^i), the columns (y, a^j) with i + j >= n
-    wrap once and add v, so they come from the direct-product row of
-    (x + v, a^i); and in every row of coset a^i, column (y, a^j) takes the
-    entry of column (tau^i(y), a^j).
+    so (x, a^i) has index i*|kernel| + rank(x).  Every row of coset a^i is a
+    translate of the coset's head row, the row of (0, a^i), since
+
+        (x, a^i) * (y, a^j) = (0, a^i) * (tau^-i(x) + y, a^j).
+
+    So the head row is built from the floor form, one list of |kernel|
+    entries per coset a^j, and row (x, a^i) is the head row read through
+    y -> y + tau^-i(x) inside each block of |kernel| columns: translate
+    x'' of ``_translates`` goes to row tau^i(x'').  No entry is computed on
+    its own outside the head rows.
     """
     require_valid(t)
     profile = t.profile
     n = t.n
     nsize = profile.order
     size = nsize * n
-    # direct[(c*nsize + rank(x))*size + j*nsize + rank(y)]: (x + y, a^(c+j mod n))
-    direct = _direct_sum_table((n, *profile.moduli))
     tau = [mat_apply(t.tau, e).rank() for e in profile.elements()]
     tau_i = tuple(range(nsize))  # tau^i by rank
-    vr = t.v.rank()
+    # rank(y + v) by rank y: the identity row rotated once per coordinate of v.
+    plus_v = array("i", range(nsize))
+    stride = nsize
+    for c, m in zip(t.v.coords, profile.moduli):
+        stride //= m
+        plus_v = _rotated(plus_v, c * stride, m * stride)
 
-    table = array("i")
+    table = array("i", [0]) * (size * size)
     for i in range(n):
-        cut = (n - i) * nsize  # columns a^j with i + j < n: no wrap
-        untwisted = array("i")
-        for x in range(nsize):
-            row = (i * nsize + x) * size
-            row_v = (i * nsize + direct[x * size + vr]) * size  # (x + v, a^i)
-            untwisted += direct[row : row + cut]
-            untwisted += direct[row_v + cut : row_v + size]
-        block = array("i", bytes(4 * nsize * size))
-        for j in range(0, size, nsize):
-            for y, ty in enumerate(tau_i):
-                block[j + y :: size] = untwisted[j + ty :: size]
-        table += block
+        # Row (0, a^i), column (y, a^j): (tau^i(y) + floor((i+j)/n)*v, a^((i+j) mod n)).
+        tau_v = _gather(plus_v, tau_i)
+        head = array("i")
+        for j in range(n):
+            base = (i + j) % n * nsize
+            head.extend([base + y for y in (tau_i if i + j < n else tau_v)])
+        coset = i * nsize
+        for x, row in zip(tau_i, _translates(head, profile.moduli)):
+            table[(coset + x) * size : (coset + x + 1) * size] = row
         tau_i = _gather(tau, tau_i)
     return FiniteGroup(table, size)
 

@@ -1,9 +1,12 @@
 """Finite groups as explicit multiplication tables.
 
 Groups small enough for this project (order <= 7^4) are stored as full Cayley
-tables over element indices 0..size-1.  Tables are built by index arithmetic
-and row gathers, not one Python step per entry, and the invariants that can
-be read off generators are: commutativity, conjugacy classes (orbits under
+tables over element indices 0..size-1.  Tables are built from whole-row slice
+copies, not one Python step per entry: a row of a direct sum of cyclic groups,
+and a row of a cyclic extension (see ``extension.build_group``), is a
+translate of one head row inside each block of columns, and ``_translates``
+makes every translate by chunk rotations.  The invariants that can be read
+off generators are: commutativity, conjugacy classes (orbits under
 conjugation by the generators), normality and the derived subgroup.  Values
 are immutable after construction and all queries are pure, so they are safe
 to share across threads.
@@ -18,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, contains, itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 
 def _gather(seq: Sequence[int], idx: Sequence[int]) -> tuple[int, ...]:
@@ -189,8 +192,29 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> list[int]:
+        """The order of every element.
+
+        When |G| = p^m, x has order p^k for the least k with x^(p^k) = e, and
+        x^(p^(k+1)) is (x^(p^k))^p: one gather of ``pth_powers`` per k, at
+        most m, until every power is e.  That step assumes
+        power-associativity, which every table of ``build_group`` and
+        ``abelian_group`` has.  Other orders, and any table in which some
+        x^(p^m) is not e, take the walk x, x^2, ... of one product per step,
+        which raises ValueError for an element that never reaches e.
+        """
         e = self.identity_index
         n = self.size
+        factors = prime_factors(n)
+        if len(factors) == 1:
+            ((p, m),) = factors.items()
+            pth = self.pth_powers
+            powers = range(n)  # x^(p^k)
+            depth = [0] * n  # number of k so far with x^(p^k) != e
+            for _ in range(m):
+                depth = list(map(add, depth, map(e.__ne__, powers)))
+                powers = _gather(pth, powers)
+                if powers.count(e) == n:
+                    return list(_gather([p**k for k in range(m + 1)], depth))
         t = self._table
         out = [0] * n
         for i in range(n):
@@ -330,27 +354,48 @@ class FiniteGroup:
             yield tuple(t[i * n : (i + 1) * n])
 
 
+def _translates(row: array, moduli: Sequence[int]) -> Iterator[array]:
+    """For every x of C_m1 x ... x C_mk, in rank order, row read through the
+    translation y -> y + x in every block of m1*...*mk entries.
+
+    Translating by x translates by each coordinate of x in turn, and a
+    translation by t in a coordinate of stride s and modulus m rotates every
+    chunk of m*s entries left by t*s: two slice copies per chunk.  The
+    coordinates are taken last first, so the small chunks of the fast
+    coordinates are rotated in few rows; each coordinate then costs about
+    2*len(row) slice copies over all the rows it makes.  The rows of the
+    first coordinate are yielded as they are made.  Callers must not modify
+    a yielded row: translates by 0 in some coordinate share storage.
+    """
+    first, *rest = moduli or (1,)
+    rows = [row]
+    stride = 1
+    for m in reversed(rest):
+        rows = [_rotated(r, t * stride, m * stride) for t in range(m) for r in rows]
+        stride *= m
+    for t in range(first):
+        for r in rows:
+            yield _rotated(r, t * stride, first * stride)
+
+
+def _rotated(row: array, shift: int, width: int) -> array:
+    """row with every chunk of width entries rotated left by shift."""
+    if not shift:
+        return row
+    out = array(row.typecode)
+    for lo in range(0, len(row), width):
+        out += row[lo + shift : lo + width]
+        out += row[lo : lo + shift]
+    return out
+
+
 def _direct_sum_table(moduli: Sequence[int]) -> array:
     """Flat Cayley table of C_m1 x ... x C_mk on mixed-radix indices (the
-    last coordinate fastest), built one cyclic factor at a time.
-
-    In C_m x H with h = |H|, element (a, x) has index a*h + x.  The row of
-    (0, x) is the H row of x repeated m times, block c shifted by c*h; the
-    row of (a, x) is that row rotated left by a blocks.
-    """
-    table = array("i", [0])
-    h = 1
-    for m in reversed(moduli):
-        size = m * h
-        out = array("i", bytes(4 * size * size))
-        for x in range(h):
-            hrow = table[x * h : (x + 1) * h]
-            row0 = array("i", [c + y for c in range(0, size, h) for y in hrow])
-            row0 += row0
-            for a in range(m):
-                r = (a * h + x) * size
-                out[r : r + size] = row0[a * h : a * h + size]
-        table, h = out, size
+    last coordinate fastest): row x is the identity row read through
+    y -> y + x, one translate of ``_translates`` per row."""
+    table = array("i")
+    for row in _translates(array("i", range(math.prod(moduli))), moduli):
+        table += row
     return table
 
 
