@@ -159,7 +159,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _guarded_config(args)
-    results = run_verification_suite(cfg, seed=args.seed)
+    results = run_verification_suite(cfg)
     failed = 0
     for check in results:
         status = "ok" if check.ok else "FAIL"
@@ -209,9 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full property suite")
     p_verify.add_argument("--p", type=int, required=True,
-                          help="odd prime (associativity is exhaustive at p=3, sampled above)")
+                          help="odd prime (group axioms are exact at every p)")
     p_verify.add_argument("--seed", type=int, default=0,
-                          help="seed for sampled associativity (no effect at p=3)")
+                          help="accepted for compatibility; has no effect")
     p_verify.add_argument("--force", action="store_true",
                           help="lift the p<=7 runtime guard")
     p_verify.set_defaults(func=cmd_verify)

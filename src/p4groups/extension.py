@@ -221,16 +221,6 @@ def power_substitute(t: ExtensionType, i: int) -> ExtensionType:
     return result
 
 
-def v_power(t: ExtensionType, i: int) -> ExtensionType:
-    """Replace v by i*v for i prime to |kernel|; conjugation by y -> i*y."""
-    require_valid(t)
-    if math.gcd(i, t.profile.order) != 1:
-        raise ValueError(f"exponent {i} is not prime to the kernel order")
-    result = ExtensionType(t.profile, t.n, t.tau, t.v.scale(i))
-    require_valid(result)
-    return result
-
-
 def conjugate_type(t: ExtensionType, phi: MixedModulusMatrix) -> ExtensionType:
     """Transport the type along an automorphism phi: (phi tau phi^-1, phi(v))."""
     require_valid(t)

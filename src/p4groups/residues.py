@@ -152,14 +152,18 @@ class MixedModulusMatrix:
             raise ValueError("top-right entry must be divisible by p for the (p^2, p) profile")
 
     @classmethod
-    def identity(cls, profile: ModulusProfile) -> "MixedModulusMatrix":
+    def scalar(cls, profile: ModulusProfile, k: int) -> "MixedModulusMatrix":
+        """The map x -> k*x: k on the diagonal, 0 elsewhere."""
         m = profile.rank
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m)), profile)
+        return cls(tuple(tuple(k if i == j else 0 for j in range(m)) for i in range(m)), profile)
+
+    @classmethod
+    def identity(cls, profile: ModulusProfile) -> "MixedModulusMatrix":
+        return cls.scalar(profile, 1)
 
     @classmethod
     def zero(cls, profile: ModulusProfile) -> "MixedModulusMatrix":
-        m = profile.rank
-        return cls(((0,) * m,) * m, profile)
+        return cls.scalar(profile, 0)
 
     @property
     def is_automorphism(self) -> bool:
@@ -213,40 +217,20 @@ def mat_pow(m: MixedModulusMatrix, k: int) -> MixedModulusMatrix:
     return result
 
 
-def _automorphism_group_order(profile: ModulusProfile) -> tuple[int, list[int]]:
-    """Order of the full automorphism group and the primes dividing it."""
+def _automorphism_group_order(profile: ModulusProfile) -> int:
+    """Order of the full automorphism group of the kernel."""
     p = profile.p
     if profile.shape == SHAPE_MIXED:
-        pieces = [p, p, p, p - 1, p - 1]
-    else:
-        q = p ** 3
-        pieces = [q - 1, q - p, q - p * p]
-    total = 1
-    primes: set[int] = set()
-    for piece in pieces:
-        total *= piece
-        primes.update(prime_factors(piece))
-    return total, sorted(primes)
-
-
-def mat_order(m: MixedModulusMatrix) -> int:
-    """Least k >= 1 with m^k = identity; requires an automorphism."""
-    if not m.is_automorphism:
-        raise ValueError("matrix is not an automorphism")
-    order, primes = _automorphism_group_order(m.profile)
-    identity = MixedModulusMatrix.identity(m.profile)
-    for q in primes:
-        while order % q == 0 and mat_pow(m, order // q) == identity:
-            order //= q
-    return order
+        return p**3 * (p - 1) ** 2
+    q = p**3
+    return (q - 1) * (q - p) * (q - p * p)
 
 
 def mat_inverse(m: MixedModulusMatrix) -> MixedModulusMatrix:
     """Inverse of an automorphism: m^(|Aut N| - 1), since m^|Aut N| = I."""
     if not m.is_automorphism:
         raise ValueError("matrix is not an automorphism")
-    order, _ = _automorphism_group_order(m.profile)
-    return mat_pow(m, order - 1)
+    return mat_pow(m, _automorphism_group_order(m.profile) - 1)
 
 
 def norm_matrix(m: MixedModulusMatrix, n: int) -> MixedModulusMatrix:

@@ -1,14 +1,14 @@
 """Deterministic property suite behind the ``verify`` CLI command.
 
 Each check returns its name, a pass flag, and on failure a minimal
-reproducing datum.  Exhaustive tiers run at p = 3; larger primes fall back to
-full identity/inverse checks plus seeded random associativity triples.
+reproducing datum.  Every check is deterministic and exact at every prime:
+the group axioms are proved for each candidate table by Light's test (see
+``verify_group_axioms``).  Only the transform trials shrink above p = 3.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 
 from .classify import (
@@ -30,12 +30,9 @@ from .extension import (
     norm_apply,
     power_substitute,
     shift_generator,
-    v_power,
 )
 from .groups import element_order, isomorphic, verify_group_axioms
-from .residues import MixedModulusMatrix, mat_order
-
-ASSOCIATIVITY_SAMPLES = 100_000
+from .residues import MixedModulusMatrix, mat_pow
 
 
 @dataclass(frozen=True)
@@ -45,13 +42,16 @@ class CheckResult:
     detail: str = ""
 
 
-def run_verification_suite(cfg: ClassifyConfig, seed: int = 0) -> list[CheckResult]:
+def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
     results: list[CheckResult] = []
     p = cfg.p
-    exhaustive = p == 3
 
-    catalog = tau_catalog(cfg)
-    bad = [name for name, tau in catalog if mat_order(tau) != p]
+    # p is prime, so tau has order p exactly when tau^p = I and tau != I.
+    bad = []
+    for name, tau in tau_catalog(cfg):
+        identity = MixedModulusMatrix.identity(tau.profile)
+        if tau == identity or mat_pow(tau, p) != identity:
+            bad.append(name)
     results.append(CheckResult(
         "tau-catalog-order",
         not bad,
@@ -71,9 +71,7 @@ def run_verification_suite(cfg: ClassifyConfig, seed: int = 0) -> list[CheckResu
 
     failure = ""
     for label, group in groups.items():
-        samples = None if exhaustive else ASSOCIATIVITY_SAMPLES
-        report = verify_group_axioms(group, associativity_samples=samples,
-                                     seed=seed ^ zlib.crc32(label.encode()))
+        report = verify_group_axioms(group)
         if not report.ok:
             failure = f"{label}: {report.failure}"
             break
@@ -181,14 +179,14 @@ def run_verification_suite(cfg: ClassifyConfig, seed: int = 0) -> list[CheckResu
                           f"twist counts {left.twist_count} and {right.twist_count}",
         ))
 
-    results.append(_check_transforms(cfg, cands, groups, exhaustive))
+    results.append(_check_transforms(cfg, cands, groups))
     return results
 
 
-def _check_transforms(cfg, cands, groups, exhaustive: bool) -> CheckResult:
+def _check_transforms(cfg, cands, groups) -> CheckResult:
     """Each equivalence transformation must produce an oracle-isomorphic group."""
     p = cfg.p
-    if exhaustive:
+    if p == 3:
         selected = cands
         param_count = 5
     else:
@@ -204,13 +202,15 @@ def _check_transforms(cfg, cands, groups, exhaustive: bool) -> CheckResult:
         shift_args = elements[1 : 1 + param_count]
         coprime_n = [i for i in range(1, 5 * t.n) if math.gcd(i, t.n) == 1][:param_count]
         coprime_order = [i for i in range(1, 5 * p) if math.gcd(i, profile.order) == 1][:param_count]
+        # The scalar automorphism i*I commutes with tau, so conjugating by it
+        # takes v to i*v alone: the scaling orbits of ``v_candidates``.
+        scalars = [MixedModulusMatrix.scalar(profile, i) for i in coprime_order]
         phis = _kernel_automorphisms(profile)[:param_count]
 
         trials = (
             [("shift_generator", lambda tt, x=x: shift_generator(tt, x)) for x in shift_args]
             + [("power_substitute", lambda tt, i=i: power_substitute(tt, i)) for i in coprime_n]
-            + [("v_power", lambda tt, i=i: v_power(tt, i)) for i in coprime_order]
-            + [("conjugate_type", lambda tt, m=m: conjugate_type(tt, m)) for m in phis]
+            + [("conjugate_type", lambda tt, m=m: conjugate_type(tt, m)) for m in scalars + phis]
         )
         for op_name, op in trials:
             try:

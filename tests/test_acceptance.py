@@ -144,9 +144,9 @@ def test_criterion_4_known_pair_oracle_checks(suite):
 
 
 def test_criterion_5_construction_soundness(suite):
-    with criterion(5, "group axioms hold for every candidate: exhaustive "
-                      "triples at p=3, sampled (1e5) plus full identity and "
-                      "inverse checks at p=5"):
+    with criterion(5, "group axioms hold for every candidate, exactly at p=3 "
+                      "and p=5: full identity and inverse checks, and "
+                      "associativity by Light's test on the generators"):
         assert_checks_ok(suite, "group-axioms")
 
 
@@ -157,9 +157,10 @@ def test_criterion_6_power_norm_law(suite):
 
 
 def test_criterion_7_equivalence_transformations(suite):
-    with criterion(7, "shift_generator, power_substitute, v_power, and "
-                      "conjugate_type give oracle-isomorphic groups for every "
-                      "catalog type at p=3, five parameters each"):
+    with criterion(7, "shift_generator, power_substitute, and conjugate_type "
+                      "(by scalar and by fixed automorphisms) give "
+                      "oracle-isomorphic groups for every catalog type at p=3, "
+                      "five parameters each"):
         assert_checks_ok(suite, "transform-equivalence")
 
 

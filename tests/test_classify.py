@@ -23,7 +23,7 @@ from p4groups.classify import (
 )
 from p4groups.extension import ExtensionType, build_group
 from p4groups.groups import abelian_group, isomorphic, order_census
-from p4groups.residues import MixedModulusMatrix, ModulusProfile, mat_order
+from p4groups.residues import MixedModulusMatrix, ModulusProfile, mat_pow
 from test_acceptance import (
     EXPECTED_TABLE1_P3,
     EXPECTED_TABLE1_P5,
@@ -100,8 +100,10 @@ class TestTauCatalog:
     @pytest.mark.parametrize("p", [3, 5])
     def test_catalog_orders(self, p):
         cfg = ClassifyConfig.for_prime(p)
+        # p is prime, so tau^p = I != tau means tau has order p.
         for _, tau in tau_catalog(cfg):
-            assert mat_order(tau) == p
+            identity = MixedModulusMatrix.identity(tau.profile)
+            assert mat_pow(tau, p) == identity != tau
 
 
 class TestVCandidates:

@@ -9,6 +9,7 @@ from p4groups import classify, verification
 from p4groups.classify import ClassificationError
 from p4groups.cli import main
 from p4groups.groups import AxiomReport
+from p4groups.residues import MixedModulusMatrix
 
 
 def run(capsys, *argv):
@@ -255,11 +256,12 @@ def _raising(exc):
 
 # check name -> (name patched in p4groups.verification, wrapper of the real callable)
 CHECK_BREAKERS = {
-    "tau-catalog-order": ("mat_order", lambda real: lambda m: real(m) + 1),
+    "tau-catalog-order": ("tau_catalog", lambda real: lambda cfg: [
+        (name, MixedModulusMatrix.identity(tau.profile)) for name, tau in real(cfg)]),
     "candidate-validation": ("candidate_types",
                              lambda real: _raising(ClassificationError("injected"))),
     "group-axioms": ("verify_group_axioms",
-                     lambda real: lambda g, **kw: AxiomReport(False, ("identity", 0))),
+                     lambda real: lambda g: AxiomReport(False, ("identity", 0))),
     "power-norm-law": ("ext_power", lambda real: lambda t, g, k: real(t, g, k + 1)),
     "census-closed-form": ("census_closed_form", lambda real: lambda t: real(t) + 1),
     # The suite runs at p = 3: flip whether the last element satisfies x^3 = e.
@@ -274,7 +276,7 @@ CHECK_BREAKERS = {
     "order-p2xp-subgroup-property": ("verify_prop_no_cyclic", lambda real: lambda g: False),
     "iso-pair-shared-relations": ("isomorphic", _flip_call(1)),
     "noniso-pair-split-v0": ("isomorphic", _flip_call(2)),
-    "transform-equivalence": ("v_power", lambda real: _raising(ValueError("injected"))),
+    "transform-equivalence": ("conjugate_type", lambda real: _raising(ValueError("injected"))),
 }
 
 
@@ -291,3 +293,26 @@ class TestVerifyCommand:
         assert code == 1
         failed = [line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")]
         assert failed == [check]
+
+    def test_catalog_entry_with_tau_to_the_p_not_identity_fails(self, capsys, monkeypatch):
+        # 2*I on C9 x C3 has order 6, so tau^3 != I although tau != I.
+        real = verification.tau_catalog
+        monkeypatch.setattr(verification, "tau_catalog", lambda cfg: [
+            (name, MixedModulusMatrix.scalar(tau.profile, 2) if name == "2x2-r1" else tau)
+            for name, tau in real(cfg)])
+        code, out, _ = run(capsys, "verify", "--p", "3")
+        assert code == 1
+        assert "[FAIL] tau-catalog-order — catalog entries of wrong order: ['2x2-r1']" in out
+
+    def test_seed_has_no_effect(self, capsys):
+        code0, out0, _ = run(capsys, "verify", "--p", "3", "--seed", "0")
+        code7, out7, _ = run(capsys, "verify", "--p", "3", "--seed", "7")
+        assert code0 == code7 == 0
+        assert out0 == out7
+
+    @pytest.mark.slow
+    def test_p7_passes_every_check(self, capsys):
+        # group-axioms proves the 19 order-2401 candidate tables associative.
+        code, out, _ = run(capsys, "verify", "--p", "7")
+        assert code == 0
+        assert out.splitlines()[-1] == "14/14 checks passed"

@@ -17,7 +17,6 @@ from p4groups.extension import (
     norm_apply,
     power_substitute,
     shift_generator,
-    v_power,
     validate_type,
 )
 from p4groups.classify import ClassifyConfig, candidate_types
@@ -252,20 +251,23 @@ class TestTransformations:
             ok, _ = isomorphic(build_group(t), build_group(power_substitute(t, i)))
             assert ok, i
 
-    def test_v_power_scales_v(self):
+    def test_scalar_conjugation_scales_v(self):
+        # i*I commutes with tau, so only v moves: (tau, v) -> (tau, i*v).
         t = make_type(3, "p2xp", ((1, 3), (0, 1)), (1, 0))
-        assert v_power(t, 2).v.coords == (2, 0)
-        assert v_power(t, 1) == t
+        scaled = conjugate_type(t, MixedModulusMatrix.scalar(t.profile, 2))
+        assert (scaled.tau, scaled.v.coords) == (t.tau, (2, 0))
+        assert conjugate_type(t, MixedModulusMatrix.scalar(t.profile, 1)) == t
 
-    def test_v_power_gcd_violation(self):
+    def test_scalar_conjugation_rejects_a_multiple_of_p(self):
         t = make_type(3, "p2xp", ((1, 3), (0, 1)), (1, 0))
-        with pytest.raises(ValueError):
-            v_power(t, 6)
+        with pytest.raises(ValueError, match="not an automorphism"):
+            conjugate_type(t, MixedModulusMatrix.scalar(t.profile, 6))
 
-    def test_v_power_preserves_class(self):
+    def test_scalar_conjugation_preserves_class(self):
         t = make_type(3, "p2xp", ((4, 0), (0, 1)), (0, 1))
         for i in (2, 4, 5):
-            ok, _ = isomorphic(build_group(t), build_group(v_power(t, i)))
+            scaled = conjugate_type(t, MixedModulusMatrix.scalar(t.profile, i))
+            ok, _ = isomorphic(build_group(t), build_group(scaled))
             assert ok, i
 
     def test_conjugate_by_identity(self):

@@ -13,6 +13,7 @@ keys and the oracle do not depend on the numbering.
 """
 
 import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,10 @@ from p4groups.classify import ClassifyConfig, abelian_catalog, candidate_types
 from p4groups import groups as groups_module
 from p4groups.extension import build_group
 from p4groups.groups import (
+    AxiomReport,
     FiniteGroup,
     Subgroup,
+    _first_nonassociative,
     _respects_generators,
     _twist_count,
     center,
@@ -288,11 +291,67 @@ def test_associativity_failure_is_the_first_triple():
     assert verify_group_axioms(g).failure == ("associativity", first)
 
 
-def test_sampled_associativity_reports_a_failing_triple():
-    g = broken_c5()
-    kind, (i, j, k) = verify_group_axioms(g, associativity_samples=1000, seed=3).failure
-    assert kind == "associativity"
-    assert g.mul(g.mul(i, j), k) != g.mul(i, g.mul(j, k))
+def brute_axiom_report(g):
+    """The report by the definitions: the first element without a two-sided
+    identity, then the first without a two-sided inverse, then the
+    lexicographically first triple with (i*j)*k != i*(j*k)."""
+    n, e = g.size, g.identity_index
+    for i in range(n):
+        if g.mul(e, i) != i or g.mul(i, e) != i:
+            return AxiomReport(False, ("identity", i))
+    for i, inverse in enumerate(brute_inverses(g)):
+        if inverse is None:
+            return AxiomReport(False, ("inverse", i))
+    for i, j, k in product(range(n), repeat=3):
+        if g.mul(g.mul(i, j), k) != g.mul(i, g.mul(j, k)):
+            return AxiomReport(False, ("associativity", (i, j, k)))
+    return AxiomReport(True, None)
+
+
+def symmetric_group_3():
+    """S3 on the permutations of (0, 1, 2) in lexicographic order, so the
+    identity is element 0; the product is composition, a after b."""
+    perms = list(permutations(range(3)))
+    return FiniteGroup([perms.index(tuple(a[x] for x in b)) for a in perms for b in perms], 6)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: groups_module.abelian_group([3, 3]), symmetric_group_3], ids=["C3xC3", "S3"]
+)
+def test_every_single_entry_corruption_matches_the_definitions(make):
+    g = make()
+    n = g.size
+    assert verify_group_axioms(g) == brute_axiom_report(g) == AxiomReport(True, None)
+    table = list(g._table)
+    for pos, right in enumerate(table):
+        for wrong in range(n):
+            if wrong != right:
+                broken = FiniteGroup(table[:pos] + [wrong] + table[pos + 1 :], n)
+                assert verify_group_axioms(broken) == brute_axiom_report(broken), (pos, wrong)
+
+
+def test_failure_with_a_middle_factor_outside_the_generators():
+    # 1*1 = 0 in C5: the first failing triple is (1, 1, 2), and 1 is not
+    # the generator that Light's test checks.
+    table = list(cyclic_group(5)._table)
+    table[1 * 5 + 1] = 0
+    g = FiniteGroup(table, 5)
+    assert g.generating_sequence == (2,)
+    assert _first_nonassociative(g._table, 5, g.generating_sequence) is not None
+    assert verify_group_axioms(g) == AxiomReport(False, ("associativity", (1, 1, 2)))
+    assert verify_group_axioms(g) == brute_axiom_report(g)
+
+
+def test_magma_whose_element_orders_raise_gets_a_report():
+    # 1*1 = 1 in C5: the powers of 1 never reach 0, so element_orders (and
+    # with it generating_sequence) raises, yet 1*4 = 4*1 = 0 is an inverse.
+    table = list(cyclic_group(5)._table)
+    table[1 * 5 + 1] = 1
+    g = FiniteGroup(table, 5)
+    with pytest.raises(ValueError, match="generates no cyclic subgroup"):
+        g.element_orders
+    assert verify_group_axioms(g) == brute_axiom_report(g)
+    assert verify_group_axioms(g).failure == ("associativity", (1, 1, 2))
 
 
 def test_subgroup_generators_must_generate_its_elements():
