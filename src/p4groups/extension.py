@@ -17,7 +17,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .groups import FiniteGroup, _gather, _rotated, _translates
 from .residues import (
@@ -116,6 +116,11 @@ def _tau_power(tau: MixedModulusMatrix, i: int) -> MixedModulusMatrix:
     return mat_pow(tau, i)
 
 
+@lru_cache(maxsize=1024)
+def _inverse(phi: MixedModulusMatrix) -> MixedModulusMatrix:
+    return mat_inverse(phi)
+
+
 def identity_element(t: ExtensionType) -> ExtElement:
     return ExtElement(t.profile.zero(), 0)
 
@@ -172,14 +177,9 @@ def build_group(t: ExtensionType) -> FiniteGroup:
     n = t.n
     nsize = profile.order
     size = nsize * n
-    tau = [mat_apply(t.tau, e).rank() for e in profile.elements()]
+    tau = _linear_ranks(t.tau)
     tau_i = tuple(range(nsize))  # tau^i by rank
-    # rank(y + v) by rank y: the identity row rotated once per coordinate of v.
-    plus_v = array("i", range(nsize))
-    stride = nsize
-    for c, m in zip(t.v.coords, profile.moduli):
-        stride //= m
-        plus_v = _rotated(plus_v, c * stride, m * stride)
+    plus_v = _plus_ranks(profile, t.v.coords)
 
     table = array("i", [0]) * (size * size)
     for i in range(n):
@@ -194,6 +194,57 @@ def build_group(t: ExtensionType) -> FiniteGroup:
             table[(coset + x) * size : (coset + x + 1) * size] = row
         tau_i = _gather(tau, tau_i)
     return FiniteGroup(table, size)
+
+
+def _plus_ranks(profile: ModulusProfile, x: tuple[int, ...]) -> array:
+    """rank(y + x) by rank y, for reduced coordinates x: the identity row
+    rotated once per coordinate of x."""
+    row = array("i", range(profile.order))
+    stride = profile.order
+    for c, m in zip(x, profile.moduli):
+        stride //= m
+        row = _rotated(row, c * stride, m * stride)
+    return row
+
+
+def _linear_ranks(m: MixedModulusMatrix) -> tuple[int, ...]:
+    """rank(m·y) by rank y, from the columns of m.
+
+    The coordinates are taken last first.  With ranks the list of rank(m·z)
+    over the values z of the later coordinates, the values of coordinate k
+    prepend to it: the block for y_k = t is the block for t - 1 gathered
+    through rank(. + col_k), so each layer is gathers of one rotated row.
+    """
+    profile = m.profile
+    ranks: tuple[int, ...] = (0,)
+    for k in reversed(range(profile.rank)):
+        plus_col = _plus_ranks(profile, tuple(row[k] for row in m.entries))
+        layer = ranks
+        out: list[int] = []
+        for _ in range(profile.moduli[k]):
+            out += layer
+            layer = _gather(plus_col, layer)
+        ranks = tuple(out)
+    return ranks
+
+
+def _coset_map(
+    profile: ModulusProfile,
+    linear: Sequence[int],
+    shifts: Sequence[AbelianElement],
+    sigma: int,
+) -> list[int]:
+    """The index map (y, c^j) -> (L·y + w_j, a^(sigma*j mod n)) between two
+    groups built on the same kernel and n = len(shifts), where
+    linear[rank y] = rank(L·y) and shifts[j] = w_j.  Both sides number
+    (x, a^j) as j*|kernel| + rank(x), as ``build_group`` does."""
+    nsize = profile.order
+    n = len(shifts)
+    img: list[int] = []
+    for j, w in enumerate(shifts):
+        coset = sigma * j % n * nsize
+        img += [coset + r for r in _gather(_plus_ranks(profile, w.coords), linear)]
+    return img
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +279,7 @@ def conjugate_type(t: ExtensionType, phi: MixedModulusMatrix) -> ExtensionType:
         raise ValueError("profile mismatch")
     if not phi.is_automorphism:
         raise ValueError("phi is not an automorphism")
-    new_tau = mat_mul(mat_mul(phi, t.tau), mat_inverse(phi))
+    new_tau = mat_mul(mat_mul(phi, t.tau), _inverse(phi))
     result = ExtensionType(t.profile, t.n, new_tau, mat_apply(phi, t.v))
     require_valid(result)
     return result

@@ -3,7 +3,13 @@
 Each check returns its name, a pass flag, and on failure a minimal
 reproducing datum.  Every check is deterministic and exact at every prime:
 the group axioms are proved for each candidate table by Light's test (see
-``verify_group_axioms``).  Only the transform trials shrink above p = 3.
+``verify_group_axioms``).  Each transform trial is certified by the map
+the transform defines, with no search (see ``_check_transforms``):
+a -> x*a maps (y, a'^j) to (y + x + tau(x) + ... + tau^(j-1)(x), a^j),
+a -> a^i maps (y, b^j) to (y + floor(ij/n)*v, a^(ij mod n)), and phi maps
+(y, c^j) to (phi^-1(y), a^j); the map must be a bijection that respects the
+products with the candidate's generators.  Only the transform trials shrink
+above p = 3.
 """
 
 from __future__ import annotations
@@ -24,15 +30,22 @@ from .classify import (
 )
 from .extension import (
     ExtElement,
+    _coset_map,
+    _linear_ranks,
     build_group,
     conjugate_type,
     ext_power,
-    norm_apply,
     power_substitute,
     shift_generator,
 )
-from .groups import element_order, isomorphic, verify_group_axioms
-from .residues import MixedModulusMatrix, mat_pow
+from .groups import (
+    _gather,
+    _respects_generators,
+    element_order,
+    isomorphic,
+    verify_group_axioms,
+)
+from .residues import MixedModulusMatrix, mat_apply, mat_pow, norm_matrix
 
 
 @dataclass(frozen=True)
@@ -80,9 +93,10 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
     failure = ""
     for c in cands:
         t = c.ext
+        norm = norm_matrix(t.tau, t.n)
         for x in t.profile.elements():
             lhs = ext_power(t, ExtElement(x, 1), t.n)
-            rhs = ExtElement(norm_apply(t, x) + t.v, 0)
+            rhs = ExtElement(mat_apply(norm, x) + t.v, 0)
             if lhs != rhs:
                 failure = f"{c.label}: x={x.coords}"
                 break
@@ -184,49 +198,92 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
 
 
 def _check_transforms(cfg, cands, groups) -> CheckResult:
-    """Each equivalence transformation must produce an oracle-isomorphic group."""
+    """Each equivalence transformation must come with its own isomorphism.
+
+    Every trial builds the transformed group and writes down the map the
+    transform defines from it onto the group of the type t, on the numbering
+    (x, a^j) -> j*|N| + rank(x) of ``build_group``:
+
+    - ``shift_generator(t, x)``: (y, a'^j) -> (y + x + tau(x) + ... + tau^(j-1)(x), a^j);
+    - ``power_substitute(t, i)``: (y, b^j) -> (y + floor(ij/n)*v, a^(ij mod n));
+    - ``conjugate_type(t, phi)``: (y, c^j) -> (phi^-1(y), a^j).
+
+    The map is inverted as a permutation, which fails unless it is a
+    bijection, and the inverse must satisfy img(x*s) = img(x)*img(s) for
+    every x and every member s of the generating sequence of t's group
+    (``_respects_generators``).  That group is associative (group-axioms),
+    so the map is an isomorphism.  No search is run: a map that fails is a
+    failure of the transform.  At p = 3 every candidate gets up to five
+    parameters of each kind; above p = 3, the first three candidates get one.
+    """
     p = cfg.p
-    if p == 3:
-        selected = cands
-        param_count = 5
-    else:
-        selected = cands[:3]
-        param_count = 1
-
+    selected, count = (cands, 5) if p == 3 else (cands[:3], 1)
     for c in selected:
-        t = c.ext
         base = groups[c.label]
-        profile = t.profile
-        elements = list(profile.elements())
-
-        shift_args = elements[1 : 1 + param_count]
-        coprime_n = [i for i in range(1, 5 * t.n) if math.gcd(i, t.n) == 1][:param_count]
-        coprime_order = [i for i in range(1, 5 * p) if math.gcd(i, profile.order) == 1][:param_count]
-        # The scalar automorphism i*I commutes with tau, so conjugating by it
-        # takes v to i*v alone: the scaling orbits of ``v_candidates``.
-        scalars = [MixedModulusMatrix.scalar(profile, i) for i in coprime_order]
-        phis = _kernel_automorphisms(profile)[:param_count]
-
-        trials = (
-            [("shift_generator", lambda tt, x=x: shift_generator(tt, x)) for x in shift_args]
-            + [("power_substitute", lambda tt, i=i: power_substitute(tt, i)) for i in coprime_n]
-            + [("conjugate_type", lambda tt, m=m: conjugate_type(tt, m)) for m in scalars + phis]
-        )
-        for op_name, op in trials:
+        for op_name, op, img in _transform_trials(c.ext, count):
             try:
-                transformed = op(t)
+                transformed = build_group(op())
             except ValueError as exc:
                 return CheckResult("transform-equivalence", False,
                                    f"{c.label} {op_name}: {exc}")
-            ok, _ = isomorphic(base, build_group(transformed))
-            if not ok:
+            if not _is_isomorphism(img, transformed, base):
                 return CheckResult("transform-equivalence", False,
-                                   f"{c.label} {op_name} produced a non-isomorphic group")
+                                   f"{c.label} {op_name}: its map is not an isomorphism")
     return CheckResult("transform-equivalence", True)
 
 
+def _transform_trials(t, count):
+    """(transform name, thunk returning the transformed type, index map from
+    the transformed group onto the group of t) for count parameters of each
+    kind.  No parameter is the identity: exponents start at 2, the scalars
+    are the units of Z/e other than 1, e the kernel's exponent, and the
+    automorphism pool has no identity.  The shifts are the last kernel
+    elements in rank order, whose first coordinate is a unit; on the mixed
+    kernel their norm is nonzero for most catalog tau, so v moves."""
+    profile, n = t.profile, t.n
+    nsize = profile.order
+    same = range(nsize)
+    zeros = [profile.zero()] * n
+
+    trials = []
+    for r in range(nsize - count, nsize):
+        x = profile.element(profile.coords_of(r))
+        partial_norms = [profile.zero()]
+        for _ in range(n - 1):
+            partial_norms.append(x + mat_apply(t.tau, partial_norms[-1]))
+        trials.append(("shift_generator", lambda x=x: shift_generator(t, x),
+                       _coset_map(profile, same, partial_norms, 1)))
+    for i in [i for i in range(2, 5 * n) if math.gcd(i, n) == 1][:count]:
+        wraps = [t.v.scale(i * j // n) for j in range(n)]
+        trials.append(("power_substitute", lambda i=i: power_substitute(t, i),
+                       _coset_map(profile, same, wraps, i)))
+    # The scalar automorphism i*I commutes with tau, so conjugating by it
+    # takes v to i*v alone: the scaling orbits of ``v_candidates``.
+    scalars = [MixedModulusMatrix.scalar(profile, i) for i in range(2, max(profile.moduli))
+               if i % profile.p][:count]
+    for phi in scalars + _kernel_automorphisms(profile)[:count]:
+        phi_ranks = _linear_ranks(phi)
+        phi_inverse = sorted(same, key=phi_ranks.__getitem__)
+        trials.append(("conjugate_type", lambda phi=phi: conjugate_type(t, phi),
+                       _coset_map(profile, phi_inverse, zeros, 1)))
+    return trials
+
+
+def _is_isomorphism(img, g1, g2) -> bool:
+    """Whether the index map img from g1 onto g2 is an isomorphism; g2 must
+    be associative.  Its inverse, found by sorting, is checked on g2's
+    generating sequence."""
+    size = g2.size
+    if g1.size != size or len(img) != size:
+        return False
+    inverse = sorted(range(size), key=img.__getitem__)
+    if _gather(img, inverse) != tuple(range(size)):
+        return False
+    return _respects_generators(g2, g1, inverse, g2.generating_sequence)
+
+
 def _kernel_automorphisms(profile) -> list[MixedModulusMatrix]:
-    """The identity and four fixed automorphisms of the kernel, at every odd p.
+    """Four fixed automorphisms of the kernel, none the identity, at every odd p.
 
     ``conjugate_type`` rejects a matrix that is not an automorphism, and the
     transform check reports that as a failure.
@@ -234,7 +291,6 @@ def _kernel_automorphisms(profile) -> list[MixedModulusMatrix]:
     p = profile.p
     if profile.rank == 2:
         pool = [
-            ((1, 0), (0, 1)),
             ((1, 0), (1, 1)),
             ((1, p), (0, 1)),
             ((2, 0), (0, 1)),
@@ -242,7 +298,6 @@ def _kernel_automorphisms(profile) -> list[MixedModulusMatrix]:
         ]
     else:
         pool = [
-            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
             ((1, 0, 0), (1, 1, 0), (0, 0, 1)),
             ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
             ((1, 1, 0), (0, 1, 1), (0, 0, 1)),

@@ -158,9 +158,9 @@ def test_criterion_6_power_norm_law(suite):
 
 def test_criterion_7_equivalence_transformations(suite):
     with criterion(7, "shift_generator, power_substitute, and conjugate_type "
-                      "(by scalar and by fixed automorphisms) give "
-                      "oracle-isomorphic groups for every catalog type at p=3, "
-                      "five parameters each"):
+                      "(by scalar and by fixed automorphisms) give groups "
+                      "isomorphic by the transform's own map for every catalog "
+                      "type at p=3, up to five parameters each"):
         assert_checks_ok(suite, "transform-equivalence")
 
 

@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import pytest
 
-from p4groups import classify, verification
-from p4groups.classify import ClassificationError
+from p4groups import classify, groups, verification
+from p4groups.classify import ClassificationError, ClassifyConfig, candidate_types
 from p4groups.cli import main
+from p4groups.extension import build_group
 from p4groups.groups import AxiomReport
 from p4groups.residues import MixedModulusMatrix
 
@@ -280,6 +281,28 @@ CHECK_BREAKERS = {
 }
 
 
+# broken transform -> (name patched in p4groups.verification, wrapper of the
+# real transform).  Each keeps part of the type the transform should change.
+TRANSFORM_BREAKERS = {
+    "shift-keeps-v": ("shift_generator",
+                      lambda real: lambda t, x: replace(real(t, x), v=t.v)),
+    "power-keeps-v": ("power_substitute",
+                      lambda real: lambda t, i: replace(real(t, i), v=t.v)),
+    "conjugate-raises": ("conjugate_type", lambda real: _raising(ValueError("injected"))),
+    "conjugate-keeps-tau": ("conjugate_type",
+                            lambda real: lambda t, phi: replace(real(t, phi), tau=t.tau)),
+}
+
+
+@pytest.fixture(scope="module")
+def p5_transform_inputs():
+    """The arguments of the transform check at p = 5: it tries the first
+    three candidates there."""
+    cfg = ClassifyConfig.for_prime(5)
+    cands = candidate_types(cfg)[:3]
+    return cfg, cands, {c.label: build_group(c.ext) for c in cands}
+
+
 class TestVerifyCommand:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--p", "9")
@@ -293,6 +316,41 @@ class TestVerifyCommand:
         assert code == 1
         failed = [line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")]
         assert failed == [check]
+
+    @pytest.mark.parametrize("breakage", ["shift-keeps-v", "power-keeps-v", "conjugate-keeps-tau"])
+    def test_broken_transform_fails_only_transform_equivalence(self, capsys, monkeypatch,
+                                                               breakage):
+        name, breaker = TRANSFORM_BREAKERS[breakage]
+        monkeypatch.setattr(verification, name, breaker(getattr(verification, name)))
+        code, out, _ = run(capsys, "verify", "--p", "3")
+        assert code == 1
+        failed = [line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert failed == ["transform-equivalence"]
+
+    def test_transform_check_passes_at_p5(self, p5_transform_inputs):
+        assert verification._check_transforms(*p5_transform_inputs).ok
+
+    @pytest.mark.parametrize("breakage", list(TRANSFORM_BREAKERS))
+    def test_broken_transform_is_caught_at_p5(self, monkeypatch, p5_transform_inputs, breakage):
+        name, breaker = TRANSFORM_BREAKERS[breakage]
+        monkeypatch.setattr(verification, name, breaker(getattr(verification, name)))
+        result = verification._check_transforms(*p5_transform_inputs)
+        assert not result.ok
+        assert f" {name}: " in result.detail
+
+    def test_transforms_run_no_isomorphism_search(self, capsys, monkeypatch):
+        # 112 calls: classify_p4, emit_table2 and the two pair checks; the
+        # transform trials check their own maps instead.
+        calls = []
+
+        def counting(g1, g2):
+            calls.append(None)
+            return groups.isomorphic(g1, g2)
+        for module in (classify, verification):
+            monkeypatch.setattr(module, "isomorphic", counting)
+        code, _, _ = run(capsys, "verify", "--p", "3")
+        assert code == 0
+        assert len(calls) == 112
 
     def test_catalog_entry_with_tau_to_the_p_not_identity_fails(self, capsys, monkeypatch):
         # 2*I on C9 x C3 has order 6, so tau^3 != I although tau != I.

@@ -8,6 +8,7 @@ import pytest
 from p4groups.extension import (
     ExtElement,
     ExtensionType,
+    _linear_ranks,
     build_group,
     conjugate_type,
     ext_inverse,
@@ -19,9 +20,10 @@ from p4groups.extension import (
     shift_generator,
     validate_type,
 )
-from p4groups.classify import ClassifyConfig, candidate_types
+from p4groups.classify import ClassifyConfig, candidate_types, tau_catalog
 from p4groups.groups import abelian_group, abelian_invariants, isomorphic, subgroup_generated
-from p4groups.residues import MixedModulusMatrix, ModulusProfile, mat_pow
+from p4groups.residues import MixedModulusMatrix, ModulusProfile, mat_apply, mat_pow
+from p4groups.verification import _kernel_automorphisms, _transform_trials
 
 
 P3_CANDIDATES = candidate_types(ClassifyConfig.for_prime(3))
@@ -299,3 +301,61 @@ class TestTransformations:
         assert validate_type(conj) is None
         ok, _ = isomorphic(build_group(t), build_group(conj))
         assert ok
+
+
+class TestLinearRanks:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_mat_apply_on_catalog_and_pool(self, p):
+        matrices = [tau for _, tau in tau_catalog(ClassifyConfig.for_prime(p))]
+        for shape in ("p2xp", "pxpxp"):
+            matrices += _kernel_automorphisms(ModulusProfile(p, shape))
+        for m in matrices:
+            expected = tuple(mat_apply(m, e).rank() for e in m.profile.elements())
+            assert _linear_ranks(m) == expected, m.entries
+
+    def test_non_automorphism(self):
+        m = MixedModulusMatrix(((3, 0), (0, 1)), ModulusProfile(3, "p2xp"))
+        assert _linear_ranks(m) == tuple(mat_apply(m, e).rank() for e in m.profile.elements())
+
+
+P5_FIRST_CANDIDATES = candidate_types(ClassifyConfig.for_prime(5))[:3]
+
+
+class TestTransformTrialMaps:
+    """Each trial of verify's transform-equivalence check carries the map the
+    transform defines; here it is checked on every product, not only on
+    generators."""
+
+    @pytest.mark.parametrize("cand, count", [
+        pytest.param(c, k, id=f"p{c.ext.profile.p}-{c.label}")
+        for cands, k in ((P3_CANDIDATES, 5), (P5_FIRST_CANDIDATES, 1)) for c in cands
+    ])
+    def test_map_is_an_isomorphism_on_every_product(self, cand, count):
+        base = build_group(cand.ext)
+        size = base.size
+        for op_name, op, img in _transform_trials(cand.ext, count):
+            new = build_group(op())
+            assert sorted(img) == list(range(size)), op_name
+            for x in range(size):
+                ix = img[x]
+                assert [img[new.mul(x, y)] for y in range(size)] == [
+                    base.mul(ix, img[y]) for y in range(size)], (op_name, x)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_no_trial_is_the_identity_above_p3(self, p):
+        # Each of the first three candidates gets one parameter of each kind.
+        for cand in candidate_types(ClassifyConfig.for_prime(p))[:3]:
+            trials = _transform_trials(cand.ext, 1)
+            assert [name for name, _, _ in trials] == [
+                "shift_generator", "power_substitute", "conjugate_type", "conjugate_type"]
+            assert all(img != list(range(len(img))) for _, _, img in trials), cand.label
+
+    def test_trial_counts_at_p3(self):
+        # Mixed kernel: five shifts, exponents and scalars, four pool matrices.
+        # Elementary kernel: 2I is its one scalar other than I.
+        counts = {c.profile.shape: len(_transform_trials(c, 5))
+                  for c in (cand.ext for cand in P3_CANDIDATES)}
+        assert counts == {"p2xp": 19, "pxpxp": 15}
+        for shape in ("p2xp", "pxpxp"):
+            profile = ModulusProfile(3, shape)
+            assert MixedModulusMatrix.identity(profile) not in _kernel_automorphisms(profile)
