@@ -44,7 +44,6 @@ from .extension import (
     norm_apply,
     power_substitute,
     shift_generator,
-    validate_type,
 )
 from .classify import (
     ClassificationError,
@@ -61,7 +60,6 @@ from .classify import (
     least_nonresidue,
     render_table1,
     render_table2,
-    tau_candidates,
     tau_catalog,
     v_candidates,
     verify_prop_abelian_subgroup,

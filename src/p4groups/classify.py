@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
-from .extension import ExtensionType, build_group, validate_type
+from .extension import ExtensionType, build_group
 from .groups import (
     FiniteGroup,
     Fingerprint,
@@ -107,10 +107,6 @@ def tau_catalog(cfg: ClassifyConfig) -> list[tuple[str, MixedModulusMatrix]]:
     ]
 
 
-def tau_candidates(cfg: ClassifyConfig, profile: ModulusProfile) -> list[MixedModulusMatrix]:
-    return [m for _, m in tau_catalog(cfg) if m.profile == profile]
-
-
 @dataclass(frozen=True)
 class _TauKernel:
     """What the tables, the v candidates and the census read off one tau:
@@ -164,7 +160,7 @@ def _tau_kernel(tau: MixedModulusMatrix) -> _TauKernel:
     return _TauKernel(fixed_points(tau), norm, image_subgroup(norm))
 
 
-def v_candidates(cfg: ClassifyConfig, tau: MixedModulusMatrix) -> list[AbelianElement]:
+def v_candidates(tau: MixedModulusMatrix) -> list[AbelianElement]:
     """Candidate v values for a catalog automorphism.
 
     Enumerate the fixed subgroup, quotient by the image of the norm map, and
@@ -202,11 +198,11 @@ class CandidateType:
 def candidate_types(cfg: ClassifyConfig) -> list[CandidateType]:
     out: list[CandidateType] = []
     for tau_idx, (tau_name, tau) in enumerate(tau_catalog(cfg)):
-        for v_idx, v in enumerate(v_candidates(cfg, tau)):
-            ext = ExtensionType(tau.profile, cfg.p, tau, v)
-            diag = validate_type(ext)
-            if diag is not None:
-                raise ClassificationError(f"catalog candidate {tau_name} invalid: {diag}")
+        for v_idx, v in enumerate(v_candidates(tau)):
+            try:
+                ext = ExtensionType(tau.profile, cfg.p, tau, v)
+            except ValueError as exc:
+                raise ClassificationError(f"catalog candidate {tau_name} {exc}") from exc
             out.append(CandidateType(ext, f"{tau_name}-{v_label(v)}", (tau_idx, v_idx)))
     return out
 
@@ -308,8 +304,11 @@ def classify_p4(cfg: ClassifyConfig) -> ClassificationResult:
     verdicts: dict[tuple[str, str], bool] = {}
 
     def same_class(a: str, b: str) -> bool:
-        # Memoized by label: the one exhaustive negative search of the merge
-        # loop comes back in the final pairwise certification.
+        # Memoized by label: a pair of representatives that the merge loop
+        # compared comes back in the final pairwise certification.  Since the
+        # twist count, no run at p <= 5 needs an exhaustive negative search
+        # (p = 5 repeats one twist-count rejection), but the memo keeps any
+        # such search from running twice.
         if (a, b) not in verdicts:
             verdicts[a, b] = verdicts[b, a] = isomorphic(built[a], built[b])[0]
         return verdicts[a, b]
@@ -527,7 +526,7 @@ class Table2Row:
 def _table2_pairs(cfg: ClassifyConfig) -> list[tuple[str, MixedModulusMatrix, AbelianElement]]:
     pairs = []
     for tau_name, tau in tau_catalog(cfg):
-        for v in v_candidates(cfg, tau):
+        for v in v_candidates(tau):
             if tau_name == "3x3-J2" and not v.is_zero():
                 continue  # reproduces earlier classes; dropped from the table
             if tau_name == "2x2-r3" and not v.is_zero():

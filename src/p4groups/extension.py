@@ -17,7 +17,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .groups import FiniteGroup, _gather, _rotated, _translates
 from .residues import (
@@ -38,7 +38,14 @@ DIAG_V_NOT_FIXED = "v-not-fixed"
 
 @dataclass(frozen=True)
 class ExtensionType:
-    """Kernel profile, quotient order n, automorphism tau, and fixed element v."""
+    """Kernel profile, quotient order n, automorphism tau, and fixed element v.
+
+    Every instance is valid: tau is an automorphism of the kernel, tau^n is
+    the identity and tau fixes v.  The constructor (and with it
+    ``from_json_dict`` and ``dataclasses.replace``) raises ValueError naming
+    the first condition that fails, so code that takes a type need not
+    check it again.
+    """
 
     profile: ModulusProfile
     n: int
@@ -50,6 +57,12 @@ class ExtensionType:
             raise ValueError("quotient order n must be positive")
         if self.tau.profile != self.profile or self.v.profile != self.profile:
             raise ValueError("profile mismatch between tau, v, and the type")
+        if not self.tau.is_automorphism:
+            raise ValueError(f"invalid extension type: {DIAG_NOT_AUTOMORPHISM}")
+        if _tau_power(self.tau, self.n) != MixedModulusMatrix.identity(self.profile):
+            raise ValueError(f"invalid extension type: {DIAG_TAU_POWER}")
+        if mat_apply(self.tau, self.v) != self.v:
+            raise ValueError(f"invalid extension type: {DIAG_V_NOT_FIXED}")
 
     @property
     def group_order(self) -> int:
@@ -92,23 +105,6 @@ class ExtElement:
 
     x: AbelianElement
     i: int
-
-
-def validate_type(t: ExtensionType) -> Optional[str]:
-    """None when valid, else a diagnostic naming the failed condition."""
-    if not t.tau.is_automorphism:
-        return DIAG_NOT_AUTOMORPHISM
-    if mat_pow(t.tau, t.n) != MixedModulusMatrix.identity(t.profile):
-        return DIAG_TAU_POWER
-    if mat_apply(t.tau, t.v) != t.v:
-        return DIAG_V_NOT_FIXED
-    return None
-
-
-def require_valid(t: ExtensionType) -> None:
-    diag = validate_type(t)
-    if diag is not None:
-        raise ValueError(f"invalid extension type: {diag}")
 
 
 @lru_cache(maxsize=8192)
@@ -172,7 +168,6 @@ def build_group(t: ExtensionType) -> FiniteGroup:
     x'' of ``_translates`` goes to row tau^i(x'').  No entry is computed on
     its own outside the head rows.
     """
-    require_valid(t)
     profile = t.profile
     n = t.n
     nsize = profile.order
@@ -253,33 +248,24 @@ def _coset_map(
 
 def shift_generator(t: ExtensionType, x: AbelianElement) -> ExtensionType:
     """Replace the coset representative a by x*a: v becomes norm(x) + v."""
-    require_valid(t)
     if x.profile != t.profile:
         raise ValueError("profile mismatch")
-    result = ExtensionType(t.profile, t.n, t.tau, norm_apply(t, x) + t.v)
-    require_valid(result)
-    return result
+    return ExtensionType(t.profile, t.n, t.tau, norm_apply(t, x) + t.v)
 
 
 def power_substitute(t: ExtensionType, i: int) -> ExtensionType:
     """Replace a by a^i for i prime to n: (tau, v) becomes (tau^i, i*v)."""
-    require_valid(t)
     if math.gcd(i, t.n) != 1:
         raise ValueError(f"exponent {i} is not prime to n={t.n}")
-    # tau^n = id (checked above), so tau^i = tau^(i mod n).
-    result = ExtensionType(t.profile, t.n, mat_pow(t.tau, i % t.n), t.v.scale(i))
-    require_valid(result)
-    return result
+    # Every type has tau^n = id, so tau^i = tau^(i mod n).
+    return ExtensionType(t.profile, t.n, mat_pow(t.tau, i % t.n), t.v.scale(i))
 
 
 def conjugate_type(t: ExtensionType, phi: MixedModulusMatrix) -> ExtensionType:
     """Transport the type along an automorphism phi: (phi tau phi^-1, phi(v))."""
-    require_valid(t)
     if phi.profile != t.profile:
         raise ValueError("profile mismatch")
     if not phi.is_automorphism:
         raise ValueError("phi is not an automorphism")
     new_tau = mat_mul(mat_mul(phi, t.tau), _inverse(phi))
-    result = ExtensionType(t.profile, t.n, new_tau, mat_apply(phi, t.v))
-    require_valid(result)
-    return result
+    return ExtensionType(t.profile, t.n, new_tau, mat_apply(phi, t.v))

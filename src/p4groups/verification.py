@@ -71,8 +71,8 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
         "" if not bad else f"catalog entries of wrong order: {bad}",
     ))
 
-    # candidate_types validates every candidate it returns; no later check
-    # can run without them.
+    # Every candidate is a valid type, or candidate_types raises naming the
+    # catalog tau; no later check can run without them.
     try:
         cands = candidate_types(cfg)
     except ClassificationError as exc:

@@ -4,6 +4,7 @@ full run at p = 3."""
 import pytest
 
 from p4groups.classify import (
+    ClassificationError,
     ClassifyConfig,
     abelian_catalog,
     candidate_types,
@@ -14,7 +15,6 @@ from p4groups.classify import (
     least_nonresidue,
     render_table1,
     render_table2,
-    tau_candidates,
     tau_catalog,
     v_candidates,
     v_label,
@@ -75,9 +75,13 @@ class TestConfig:
             ClassifyConfig(101, 2)
 
 
+def catalog_entries(cfg, profile):
+    return [m.entries for _, m in tau_catalog(cfg) if m.profile == profile]
+
+
 class TestTauCatalog:
     def test_mixed_matrices_p3(self, cfg3):
-        got = [m.entries for m in tau_candidates(cfg3, cfg3.mixed_profile)]
+        got = catalog_entries(cfg3, cfg3.mixed_profile)
         assert got == [
             ((1, 3), (0, 1)),
             ((4, 0), (0, 1)),
@@ -87,11 +91,11 @@ class TestTauCatalog:
         ]
 
     def test_mixed_matrices_p5(self, cfg5):
-        got = [m.entries for m in tau_candidates(cfg5, cfg5.mixed_profile)]
+        got = catalog_entries(cfg5, cfg5.mixed_profile)
         assert got[4] == ((1, 10), (1, 1))
 
     def test_elementary_matrices(self, cfg3):
-        got = [m.entries for m in tau_candidates(cfg3, cfg3.elementary_profile)]
+        got = catalog_entries(cfg3, cfg3.elementary_profile)
         assert got == [
             ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
             ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
@@ -110,7 +114,7 @@ class TestVCandidates:
     def coords(self, cfg, tau_rows, shape="p2xp"):
         profile = ModulusProfile(cfg.p, shape)
         tau = MixedModulusMatrix(tau_rows, profile)
-        return [v.coords for v in v_candidates(cfg, tau)]
+        return [v.coords for v in v_candidates(tau)]
 
     def test_shear(self, cfg3):
         assert self.coords(cfg3, ((1, 3), (0, 1))) == [(0, 0), (1, 0)]
@@ -142,6 +146,14 @@ class TestVCandidates:
         assert v_label(prof.element((1, 0))) == "v-e1"
         assert v_label(prof.element((3, 0))) == "v-pe1"
         assert v_label(prof.element((0, 1))) == "v-e2"
+
+    def test_unfixed_candidate_names_its_tau(self, cfg3, monkeypatch):
+        # (0, ..., 0, 1) is not fixed by the first catalog tau, 2x2-r1.
+        monkeypatch.setattr("p4groups.classify.v_candidates", lambda tau: [
+            tau.profile.element((0,) * (tau.profile.rank - 1) + (1,))])
+        with pytest.raises(ClassificationError,
+                           match="^catalog candidate 2x2-r1 invalid extension type: v-not-fixed$"):
+            candidate_types(cfg3)
 
 
 class TestCensusClosedForm:

@@ -130,11 +130,16 @@ class TestConstructCommand:
         first_row = [int(x) for x in lines[1].split(",")]
         assert first_row == list(range(81))
 
-    def test_invalid_type_diagnostic(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["construct", "iso"])
+    def test_invalid_type_diagnostic(self, capsys, tmp_path, command):
         path = write_type(tmp_path, "bad.json", BAD_V)
-        code, _, err = run(capsys, "construct", "--type", path)
-        assert code == 1
-        assert "v-not-fixed" in err
+        if command == "construct":
+            argv = ["construct", "--type", path]
+        else:
+            argv = ["iso", write_type(tmp_path, "row1.json", ROW1), path]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {path}: invalid extension type: v-not-fixed"]
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "construct", "--type", str(tmp_path / "absent.json"))

@@ -1,6 +1,7 @@
-"""Extension types: validation, the pair multiplication law, construction,
-norms, and the equivalence-preserving transformations."""
+"""Extension types: validity by construction, the pair multiplication law,
+construction, norms, and the equivalence-preserving transformations."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -18,7 +19,6 @@ from p4groups.extension import (
     norm_apply,
     power_substitute,
     shift_generator,
-    validate_type,
 )
 from p4groups.classify import ClassifyConfig, candidate_types, tau_catalog
 from p4groups.groups import abelian_group, abelian_invariants, isomorphic, subgroup_generated
@@ -43,20 +43,34 @@ def make_type(p, shape, rows, v, n=None):
 
 
 class TestValidateType:
+    """The constructor is the one validity check: a type that breaks a
+    condition cannot be made, by any route."""
+
     def test_catalog_row_is_valid(self):
-        assert validate_type(make_type(3, "p2xp", ((1, 3), (0, 1)), (0, 0))) is None
+        t = make_type(3, "p2xp", ((1, 3), (0, 1)), (0, 0))
+        assert (t.n, t.v.coords) == (3, (0, 0))
 
     def test_unfixed_v(self):
-        t = make_type(3, "p2xp", ((1, 3), (0, 1)), (0, 1))
-        assert validate_type(t) == "v-not-fixed"
+        with pytest.raises(ValueError, match="^invalid extension type: v-not-fixed$"):
+            make_type(3, "p2xp", ((1, 3), (0, 1)), (0, 1))
 
     def test_tau_power_mismatch(self):
-        t = make_type(3, "p2xp", ((4, 0), (0, 1)), (0, 0), n=2)
-        assert validate_type(t) == "tau-power-not-identity"
+        with pytest.raises(ValueError, match="^invalid extension type: tau-power-not-identity$"):
+            make_type(3, "p2xp", ((4, 0), (0, 1)), (0, 0), n=2)
 
     def test_non_automorphism(self):
-        t = make_type(3, "p2xp", ((3, 0), (0, 1)), (0, 0))
-        assert validate_type(t) == "not-an-automorphism"
+        with pytest.raises(ValueError, match="^invalid extension type: not-an-automorphism$"):
+            make_type(3, "p2xp", ((3, 0), (0, 1)), (0, 0))
+
+    def test_from_json_dict_rejects_unfixed_v(self):
+        data = {"p": 3, "shape": "p2xp", "n": 3, "tau": [[1, 3], [0, 1]], "v": [0, 1]}
+        with pytest.raises(ValueError, match="v-not-fixed"):
+            ExtensionType.from_json_dict(data)
+
+    def test_replace_rejects_unfixed_v(self):
+        t = make_type(3, "p2xp", ((1, 3), (0, 1)), (0, 0))
+        with pytest.raises(ValueError, match="v-not-fixed"):
+            replace(t, v=t.profile.element((0, 1)))
 
     def test_json_roundtrip(self):
         t = make_type(3, "p2xp", ((1, 3), (0, 1)), (0, 0))
@@ -67,7 +81,6 @@ class TestValidateType:
     def test_general_n_accepted(self):
         # n need not equal p as long as tau^n = id and tau fixes v.
         t = make_type(3, "p2xp", ((1, 3), (0, 1)), (0, 0), n=9)
-        assert validate_type(t) is None
         assert build_group(t).size == 27 * 9
 
 
@@ -145,9 +158,8 @@ class TestExtInverse:
 
 class TestBuildGroup:
     def test_invalid_type_rejected_with_diagnostic(self):
-        t = make_type(3, "p2xp", ((1, 3), (0, 1)), (0, 1))
         with pytest.raises(ValueError, match="v-not-fixed"):
-            build_group(t)
+            build_group(make_type(3, "p2xp", ((1, 3), (0, 1)), (0, 1)))
 
     def test_elementary_direct_product(self):
         t = make_type(3, "pxpxp", ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))
@@ -298,7 +310,6 @@ class TestTransformations:
         t = make_type(3, "p2xp", ((1, 0), (1, 1)), (0, 1))
         phi = MixedModulusMatrix(((2, 3), (1, 1)), t.profile)
         conj = conjugate_type(t, phi)
-        assert validate_type(conj) is None
         ok, _ = isomorphic(build_group(t), build_group(conj))
         assert ok
 
