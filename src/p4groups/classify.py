@@ -2,10 +2,11 @@
 
 The pipeline enumerates candidate extension types (a fixed catalog of seven
 kernel automorphisms, each with its computed list of candidate fixed elements
-v), builds every candidate group, and deduplicates by fingerprint followed by
-the brute-force isomorphism oracle.  The five abelian groups are appended
-from their invariant-factor descriptions.  The expected outcome, asserted at
-the end of every run, is 10 nonabelian classes and 5 abelian ones.
+v), each of which owns its group, built on first use.  Candidates are
+deduplicated by fingerprint, then twist count, then the isomorphism oracle.
+The five abelian groups are appended from their invariant-factor
+descriptions.  The expected outcome, asserted at the end of every run, is 10
+nonabelian classes and 5 abelian ones.
 """
 
 from __future__ import annotations
@@ -194,6 +195,12 @@ class CandidateType:
     label: str
     catalog_pos: tuple[int, int]  # (tau index in the catalog, v index in v_candidates)
 
+    @cached_property
+    def group(self) -> FiniteGroup:
+        """The candidate's group, built on first use: the one table that a
+        run's checks and its classification share."""
+        return build_group(self.ext)
+
 
 def candidate_types(cfg: ClassifyConfig) -> list[CandidateType]:
     out: list[CandidateType] = []
@@ -290,8 +297,9 @@ class ClassificationResult:
         }
 
 
-def classify_p4(cfg: ClassifyConfig) -> ClassificationResult:
-    """Run the full classification for one odd prime.
+def classify_p4(cfg: ClassifyConfig, candidates: Sequence[CandidateType]) -> ClassificationResult:
+    """Run the full classification for one odd prime over its catalog
+    candidates, ``candidate_types(cfg)``, whose groups it builds or reuses.
 
     Candidates are folded in label order; a candidate joins the first class
     whose fingerprint matches and whose representative the oracle certifies
@@ -299,28 +307,26 @@ def classify_p4(cfg: ClassifyConfig) -> ClassificationResult:
     expected merges and counts and certifies all final representatives
     pairwise non-isomorphic.
     """
-    cands = sorted(candidate_types(cfg), key=lambda c: c.label)
-    built = {c.label: build_group(c.ext) for c in cands}
+    cands = sorted(candidates, key=lambda c: c.label)
     verdicts: dict[tuple[str, str], bool] = {}
 
-    def same_class(a: str, b: str) -> bool:
+    def same_class(a: CandidateType | GroupClass, b: CandidateType | GroupClass) -> bool:
         # Memoized by label: a pair of representatives that the merge loop
         # compared comes back in the final pairwise certification.  Since the
         # twist count, no run at p <= 5 needs an exhaustive negative search
         # (p = 5 repeats one twist-count rejection), but the memo keeps any
         # such search from running twice.
-        if (a, b) not in verdicts:
-            verdicts[a, b] = verdicts[b, a] = isomorphic(built[a], built[b])[0]
-        return verdicts[a, b]
+        key = (a.label, b.label)
+        if key not in verdicts:
+            verdicts[key] = verdicts[key[::-1]] = isomorphic(a.group, b.group)[0]
+        return verdicts[key]
 
     class_members: list[list[CandidateType]] = []
     for cand in cands:
-        group = built[cand.label]
-        fp = fingerprint(group)
+        fp = fingerprint(cand.group)
         placed = False
         for members in class_members:
-            rep_group = built[members[0].label]
-            if fingerprint(rep_group) == fp and same_class(members[0].label, cand.label):
+            if fingerprint(members[0].group) == fp and same_class(members[0], cand):
                 members.append(cand)
                 placed = True
                 break
@@ -335,32 +341,30 @@ def classify_p4(cfg: ClassifyConfig) -> ClassificationResult:
         normalized.append((rep, rest))
     normalized.sort(key=lambda pair: pair[0].catalog_pos)
 
-    _assert_expected_merges(cfg, normalized)
+    _assert_expected_merges(normalized)
 
     if len(normalized) != 10:
         raise ClassificationError(
             f"expected 10 nonabelian classes at p={cfg.p}, found {len(normalized)}:\n"
-            + _describe_classes(normalized, built)
+            + _describe_classes(normalized)
         )
 
     classes: list[GroupClass] = []
     for rep, rest in normalized:
-        group = built[rep.label]
         classes.append(
             GroupClass(
                 label=rep.label,
                 kind="nonabelian",
                 tau=rep.ext.tau,
                 v=rep.ext.v,
-                fingerprint=fingerprint(group),
+                fingerprint=fingerprint(rep.group),
                 merged_labels=tuple(c.label for c in rest),
-                group=group,
+                group=rep.group,
             )
         )
 
     abelian = abelian_catalog(cfg)
     for label, _, group in abelian:
-        built[label] = group
         classes.append(
             GroupClass(
                 label=label,
@@ -377,7 +381,7 @@ def classify_p4(cfg: ClassifyConfig) -> ClassificationResult:
 
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            if same_class(classes[i].label, classes[j].label):
+            if same_class(classes[i], classes[j]):
                 raise ClassificationError(
                     f"classes {classes[i].label} and {classes[j].label} are isomorphic"
                 )
@@ -391,7 +395,7 @@ def classify_p4(cfg: ClassifyConfig) -> ClassificationResult:
 
 
 def _assert_expected_merges(
-    cfg: ClassifyConfig, normalized: list[tuple[CandidateType, list[CandidateType]]]
+    normalized: list[tuple[CandidateType, list[CandidateType]]]
 ) -> None:
     by_label: dict[str, str] = {}
     for rep, rest in normalized:
@@ -413,13 +417,10 @@ def _assert_expected_merges(
             )
 
 
-def _describe_classes(
-    normalized: list[tuple[CandidateType, list[CandidateType]]],
-    built: dict[str, FiniteGroup],
-) -> str:
+def _describe_classes(normalized: list[tuple[CandidateType, list[CandidateType]]]) -> str:
     lines = []
     for rep, rest in normalized:
-        fp = fingerprint(built[rep.label])
+        fp = fingerprint(rep.group)
         merged = (" <- " + ", ".join(c.label for c in rest)) if rest else ""
         lines.append(f"  {rep.label}{merged}  {fp.to_json_dict()}")
     return "\n".join(lines)
@@ -523,46 +524,38 @@ class Table2Row:
     census_le_p: int
 
 
-def _table2_pairs(cfg: ClassifyConfig) -> list[tuple[str, MixedModulusMatrix, AbelianElement]]:
-    pairs = []
-    for tau_name, tau in tau_catalog(cfg):
-        for v in v_candidates(tau):
-            if tau_name == "3x3-J2" and not v.is_zero():
-                continue  # reproduces earlier classes; dropped from the table
-            if tau_name == "2x2-r3" and not v.is_zero():
-                continue  # same class as 2x2-r2 with the matching v
-            pairs.append((tau_name, tau, v))
-    return pairs
-
-
 def emit_table2(cfg: ClassifyConfig) -> list[Table2Row]:
     """Center type and order-<=p census for the 10 applicable (tau, v) rows.
 
-    Centers are computed from the fixed subgroup of tau and re-verified
-    against the center of the built group; the census closed form is
-    re-verified against a brute-force count.
+    The rows are the catalog candidates less the nonzero v of 3x3-J2, which
+    reproduce earlier classes, and of 2x2-r3, which share the class of 2x2-r2
+    with the matching v.  Centers are computed from the fixed subgroup of tau
+    and re-verified against the center of the built group; the census closed
+    form is re-verified against a brute-force count.  Each row's table is
+    built here, not kept on the candidate, so one row table at a time is alive.
     """
+    tau_names = [name for name, _ in tau_catalog(cfg)]
     rows = []
-    for tau_name, tau, v in _table2_pairs(cfg):
-        ext = ExtensionType(tau.profile, cfg.p, tau, v)
-        invariants = _tau_kernel(tau).fixed.invariant_factors()
-        census = census_closed_form(ext)
+    for c in candidate_types(cfg):
+        tau_name, t = tau_names[c.catalog_pos[0]], c.ext
+        if tau_name in ("3x3-J2", "2x2-r3") and not t.v.is_zero():
+            continue
+        invariants = _tau_kernel(t.tau).fixed.invariant_factors()
+        census = census_closed_form(t)
 
-        group = build_group(ext)
+        group = build_group(t)
         center_inv = abelian_invariants(center(group))
         if center_inv != invariants:
             raise ClassificationError(
-                f"center of {tau_name}-{v_label(v)} is {center_inv}, "
-                f"fixed subgroup gives {invariants}"
+                f"center of {c.label} is {center_inv}, fixed subgroup gives {invariants}"
             )
         e = group.identity_index
         brute = sum(1 for i in range(group.size) if group.power(i, cfg.p) == e)
         if brute != census:
             raise ClassificationError(
-                f"census closed form {census} != brute force {brute} "
-                f"for {tau_name}-{v_label(v)}"
+                f"census closed form {census} != brute force {brute} for {c.label}"
             )
-        rows.append(Table2Row(tau_name, tau, v, invariants, census))
+        rows.append(Table2Row(tau_name, t.tau, t.v, invariants, census))
     return rows
 
 

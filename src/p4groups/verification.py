@@ -9,7 +9,8 @@ a -> x*a maps (y, a'^j) to (y + x + tau(x) + ... + tau^(j-1)(x), a^j),
 a -> a^i maps (y, b^j) to (y + floor(ij/n)*v, a^(ij mod n)), and phi maps
 (y, c^j) to (phi^-1(y), a^j); the map must be a bijection that respects the
 products with the candidate's generators.  Only the transform trials shrink
-above p = 3.
+above p = 3.  The per-candidate checks, ``classify_p4`` and the transform
+trials share each candidate's one group, ``CandidateType.group``.
 """
 
 from __future__ import annotations
@@ -80,13 +81,11 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
         return results
     results.append(CheckResult("candidate-validation", True))
 
-    groups = {c.label: build_group(c.ext) for c in cands}
-
     failure = ""
-    for label, group in groups.items():
-        report = verify_group_axioms(group)
+    for c in cands:
+        report = verify_group_axioms(c.group)
         if not report.ok:
-            failure = f"{label}: {report.failure}"
+            failure = f"{c.label}: {report.failure}"
             break
     results.append(CheckResult("group-axioms", not failure, failure))
 
@@ -107,7 +106,7 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
     failure = ""
     for c in cands:
         closed = census_closed_form(c.ext)
-        group = groups[c.label]
+        group = c.group
         e = group.identity_index
         brute = sum(1 for i in range(group.size) if group.power(i, p) == e)
         if closed != brute:
@@ -118,7 +117,7 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
     failure = ""
     nsize = p ** 3
     for c in cands:
-        group = groups[c.label]
+        group = c.group
         per_coset = [
             sum(1 for r in range(nsize) if element_order(group, i * nsize + r) in (1, p))
             for i in range(p)
@@ -136,7 +135,7 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
 
     classification = None
     try:
-        classification = classify_p4(cfg)
+        classification = classify_p4(cfg, cands)
         ok = (classification.abelian_count, classification.nonabelian_count) == (5, 10)
         results.append(CheckResult(
             "classification-counts",
@@ -173,8 +172,9 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
         ("iso-pair-shared-relations", "2x2-r2-v-e2", "2x2-r3-v-e2", True),
         ("noniso-pair-split-v0", "2x2-r2-v0", "2x2-r3-v0", False),
     ]
+    by_label = {c.label: c for c in cands}
     for name, left, right, expected in checks:
-        got, _ = isomorphic(groups[left], groups[right])
+        got, _ = isomorphic(by_label[left].group, by_label[right].group)
         results.append(CheckResult(
             name,
             got == expected,
@@ -183,7 +183,7 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
     if p > 3:
         # No fingerprint field separates this pair above p = 3; its
         # certificate is the twist count.
-        left, right = groups["2x2-r4-v0"], groups["2x2-r5-v0"]
+        left, right = by_label["2x2-r4-v0"].group, by_label["2x2-r5-v0"].group
         got, _ = isomorphic(left, right)
         ok = not got and left.twist_count != right.twist_count
         results.append(CheckResult(
@@ -193,11 +193,11 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
                           f"twist counts {left.twist_count} and {right.twist_count}",
         ))
 
-    results.append(_check_transforms(cfg, cands, groups))
+    results.append(_check_transforms(cfg, cands))
     return results
 
 
-def _check_transforms(cfg, cands, groups) -> CheckResult:
+def _check_transforms(cfg, cands) -> CheckResult:
     """Each equivalence transformation must come with its own isomorphism.
 
     Every trial builds the transformed group and writes down the map the
@@ -219,7 +219,7 @@ def _check_transforms(cfg, cands, groups) -> CheckResult:
     p = cfg.p
     selected, count = (cands, 5) if p == 3 else (cands[:3], 1)
     for c in selected:
-        base = groups[c.label]
+        base = c.group
         for op_name, op, img in _transform_trials(c.ext, count):
             try:
                 transformed = build_group(op())

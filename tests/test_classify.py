@@ -43,8 +43,13 @@ def cfg5():
 
 
 @pytest.fixture(scope="module")
-def result3(cfg3):
-    return classify_p4(cfg3)
+def cands3(cfg3):
+    return candidate_types(cfg3)
+
+
+@pytest.fixture(scope="module")
+def result3(cfg3, cands3):
+    return classify_p4(cfg3, cands3)
 
 
 class TestConfig:
@@ -226,8 +231,12 @@ class TestClassify:
         assert merged["2x2-r3-v0"] == {"3x3-J2-v-e3", "3x3-J2-v1_0_1", "3x3-J2-v1_0_2"}
 
     def test_deterministic(self, cfg3, result3):
-        again = classify_p4(cfg3)
+        again = classify_p4(cfg3, candidate_types(cfg3))
         assert again.to_json_dict() == result3.to_json_dict()
+
+    def test_classes_share_the_candidates_groups(self, cands3, result3):
+        for cls in result3.nonabelian_classes:
+            assert any(cls.group is c.group for c in cands3)
 
     def test_row8_absent_only_above_p3(self, result3):
         assert "2x2-r5-v-pe1" in [c.label for c in result3.classes]

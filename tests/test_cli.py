@@ -40,6 +40,16 @@ class TestClassifyCommand:
         assert code == 0
         assert "total: 15 classes (5 abelian, 10 nonabelian)" in out
 
+    def test_classification_failure_is_one_line_error(self, capsys, monkeypatch):
+        # classify_p4 raises unless the counts are 10 + 5; the CLI reports it.
+        monkeypatch.setattr("p4groups.cli.classify_p4",
+                            _raising(ClassificationError("injected")))
+        code, out, err = run(capsys, "classify", "--p", "3")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("classification failed:")
+
     def test_composite_p_is_usage_error(self, capsys):
         code, _, err = run(capsys, "classify", "--p", "4")
         assert code == 2
@@ -276,8 +286,8 @@ CHECK_BREAKERS = {
                              else 9 if real(g, x) in (1, 3) else 3),
     "table2-reverification": ("emit_table2",
                               lambda real: _raising(ClassificationError("injected"))),
-    "classification-counts": ("classify_p4",
-                              lambda real: lambda cfg: replace(real(cfg), abelian_count=4)),
+    "classification-counts": ("classify_p4", lambda real: lambda cfg, cands: replace(
+        real(cfg, cands), abelian_count=4)),
     "abelian-subgroup-property": ("verify_prop_abelian_subgroup", lambda real: lambda g: False),
     "order-p2xp-subgroup-property": ("verify_prop_no_cyclic", lambda real: lambda g: False),
     "iso-pair-shared-relations": ("isomorphic", _flip_call(1)),
@@ -304,8 +314,7 @@ def p5_transform_inputs():
     """The arguments of the transform check at p = 5: it tries the first
     three candidates there."""
     cfg = ClassifyConfig.for_prime(5)
-    cands = candidate_types(cfg)[:3]
-    return cfg, cands, {c.label: build_group(c.ext) for c in cands}
+    return cfg, candidate_types(cfg)[:3]
 
 
 class TestVerifyCommand:
@@ -344,8 +353,9 @@ class TestVerifyCommand:
         assert f" {name}: " in result.detail
 
     def test_transforms_run_no_isomorphism_search(self, capsys, monkeypatch):
-        # 112 calls: classify_p4, emit_table2 and the two pair checks; the
-        # transform trials check their own maps instead.
+        # 112 calls: 110 from classify_p4's same_class and 2 from the pair
+        # checks; emit_table2 makes none, and the transform trials check
+        # their own maps instead.
         calls = []
 
         def counting(g1, g2):
@@ -356,6 +366,21 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--p", "3")
         assert code == 0
         assert len(calls) == 112
+
+    def test_one_build_per_candidate(self, capsys, monkeypatch):
+        # 15 candidates, 10 Table 2 rows and 261 transform trials: the
+        # per-candidate checks, classify_p4 and the transform trials share
+        # each candidate's group.
+        calls = []
+
+        def counting(t):
+            calls.append(None)
+            return build_group(t)
+        for module in (classify, verification):
+            monkeypatch.setattr(module, "build_group", counting)
+        code, _, _ = run(capsys, "verify", "--p", "3")
+        assert code == 0
+        assert len(calls) == 286
 
     def test_catalog_entry_with_tau_to_the_p_not_identity_fails(self, capsys, monkeypatch):
         # 2*I on C9 x C3 has order 6, so tau^3 != I although tau != I.
