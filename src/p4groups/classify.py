@@ -524,26 +524,30 @@ class Table2Row:
     census_le_p: int
 
 
-def emit_table2(cfg: ClassifyConfig) -> list[Table2Row]:
+def emit_table2(
+    cfg: ClassifyConfig, candidates: Optional[Sequence[CandidateType]] = None
+) -> list[Table2Row]:
     """Center type and order-<=p census for the 10 applicable (tau, v) rows.
 
     The rows are the catalog candidates less the nonzero v of 3x3-J2, which
     reproduce earlier classes, and of 2x2-r3, which share the class of 2x2-r2
     with the matching v.  Centers are computed from the fixed subgroup of tau
     and re-verified against the center of the built group; the census closed
-    form is re-verified against a brute-force count.  Each row's table is
-    built here, not kept on the candidate, so one row table at a time is alive.
+    form is re-verified against a brute-force count.  Given the run's
+    candidates, ``candidate_types(cfg)``, each row reads its candidate's
+    group; without them, each row's table is built here and dropped after
+    its row, so one row table at a time is alive.
     """
     tau_names = [name for name, _ in tau_catalog(cfg)]
     rows = []
-    for c in candidate_types(cfg):
+    for c in candidate_types(cfg) if candidates is None else candidates:
         tau_name, t = tau_names[c.catalog_pos[0]], c.ext
         if tau_name in ("3x3-J2", "2x2-r3") and not t.v.is_zero():
             continue
         invariants = _tau_kernel(t.tau).fixed.invariant_factors()
         census = census_closed_form(t)
 
-        group = build_group(t)
+        group = build_group(t) if candidates is None else c.group
         center_inv = abelian_invariants(center(group))
         if center_inv != invariants:
             raise ClassificationError(

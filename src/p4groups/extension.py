@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .groups import FiniteGroup, _gather, _rotated, _translates
+from .groups import FiniteGroup, _gather, _rotated, _table_typecode, _translates
 from .residues import (
     AbelianElement,
     MixedModulusMatrix,
@@ -176,11 +176,12 @@ def build_group(t: ExtensionType) -> FiniteGroup:
     tau_i = tuple(range(nsize))  # tau^i by rank
     plus_v = _plus_ranks(profile, t.v.coords)
 
-    table = array("i", [0]) * (size * size)
+    code = _table_typecode(size)
+    table = array(code, [0]) * (size * size)
     for i in range(n):
         # Row (0, a^i), column (y, a^j): (tau^i(y) + floor((i+j)/n)*v, a^((i+j) mod n)).
         tau_v = _gather(plus_v, tau_i)
-        head = array("i")
+        head = array(code)
         for j in range(n):
             base = (i + j) % n * nsize
             head.extend([base + y for y in (tau_i if i + j < n else tau_v)])

@@ -1,7 +1,10 @@
 """Finite groups as explicit multiplication tables.
 
 Groups small enough for this project (order <= 7^4) are stored as full Cayley
-tables over element indices 0..size-1.  Tables are built from whole-row slice
+tables over element indices 0..size-1, in an ``array`` of two bytes per entry
+(typecode "H") when the order is at most 2^15, which covers every p <= 13, and
+of four bytes ("i") above that; ``_table_typecode`` is the one rule that every
+table producer follows.  Tables are built from whole-row slice
 copies, not one Python step per entry: a row of a direct sum of cyclic groups,
 and a row of a cyclic extension (see ``extension.build_group``), is a
 translate of one head row inside each block of columns, and ``_translates``
@@ -38,25 +41,38 @@ _RANGE_CHUNK = 1 << 14
 _OUT_OF_RANGE = "table entries must be element indices in range"
 
 
-def _repeat_word(word: int, count: int) -> int:
-    """The integer whose native-order bytes are count copies of the 4-byte word."""
-    return int.from_bytes(word.to_bytes(4, sys.byteorder) * count, sys.byteorder)
+def _table_typecode(size: int) -> str:
+    """The array typecode of a table on size elements: "H" (two bytes) up to
+    2^15 elements, the widest that ``_entries_below`` checks in 16-bit
+    lanes, and "i" (four bytes) above."""
+    return "H" if size <= 1 << 15 else "i"
+
+
+def _repeat_word(word: int, width: int, count: int) -> int:
+    """The integer whose native-order bytes are count copies of the word of
+    width bytes."""
+    return int.from_bytes(word.to_bytes(width, sys.byteorder) * count, sys.byteorder)
 
 
 def _entries_below(flat: array, bound: int) -> bool:
-    """Whether every entry of the "i" array flat, read as an unsigned 32-bit
-    word, is below bound (1 <= bound <= 2^31).
+    """Whether every entry of the array flat, read as an unsigned word of
+    L = 8 * flat.itemsize bits, is below bound (1 <= bound <= 2^(L-1)).
 
     The bytes of each chunk, read as one integer in native byte order, hold
-    the entries as 32-bit lanes, so each test is a few big-integer
+    the entries as L-bit lanes, so each test is a few big-integer
     operations in C.  Let top = bound - 1 and w = top.bit_length().  An
     entry with a bit at or above w set is out of range.  Any other entry is
     below 2^w, and it exceeds top exactly when adding 2^w - 1 - top to it
-    sets bit w; that sum stays below 2^(w+1) <= 2^32, so no lane carries
-    into the next.
+    sets bit w; that sum stays below 2^(w+1), and bound <= 2^(L-1) makes
+    w <= L - 1, so no lane carries into the next.  That is the lane-width
+    rule: "i" arrays take bounds up to 2^31, "H" arrays up to 2^15 (with
+    16-bit lanes and bound 40000, an entry above 39999 plus its lift would
+    carry into the next lane).
     """
-    if not 1 <= bound <= 1 << 31:
-        raise ValueError("bound must lie in 1..2^31")
+    itemsize = flat.itemsize
+    lane = 8 * itemsize
+    if not 1 <= bound <= 1 << (lane - 1):
+        raise ValueError(f"bound must lie in 1..2^{lane - 1}")
     top = bound - 1
     width = top.bit_length()
     lift = (1 << width) - 1 - top
@@ -64,12 +80,12 @@ def _entries_below(flat: array, bound: int) -> bool:
     with memoryview(flat) as view:
         for lo in range(0, len(flat), _RANGE_CHUNK):
             chunk = view[lo : lo + _RANGE_CHUNK].tobytes()
-            count = len(chunk) // 4
+            count = len(chunk) // itemsize
             if count not in masks:
                 masks[count] = (
-                    _repeat_word(0xFFFFFFFF ^ ((1 << width) - 1), count),
-                    _repeat_word(lift, count),
-                    _repeat_word(1 << width, count),
+                    _repeat_word(((1 << lane) - 1) ^ ((1 << width) - 1), itemsize, count),
+                    _repeat_word(lift, itemsize, count),
+                    _repeat_word(1 << width, itemsize, count),
                 )
             high, lifts, carries = masks[count]
             x = int.from_bytes(chunk, sys.byteorder)
@@ -129,17 +145,22 @@ class FiniteGroup:
     def __init__(self, table: Union[Sequence[int], array], size: int):
         if size < 1:
             raise ValueError("group size must be positive")
+        # The table is stored with the typecode of _table_typecode: two bytes
+        # per entry up to 2^15 elements, four above.  A table of another
+        # typecode is converted; an entry that does not fit the typecode
+        # (a negative one in "H") raises OverflowError there.
+        code = _table_typecode(size)
         try:
-            flat = table if isinstance(table, array) and table.typecode == "i" else array("i", table)
+            flat = table if isinstance(table, array) and table.typecode == code else array(code, table)
         except OverflowError:
             raise ValueError(_OUT_OF_RANGE) from None
         if len(flat) != size * size:
             raise ValueError(f"table must have {size * size} entries, got {len(flat)}")
-        # The entries are read as unsigned, so a negative one reads as at
-        # least 2^31 and fails the same bound as an entry >= size.  The check
-        # compares 32-bit lanes of one big integer per chunk of 2^14 entries
-        # against size - 1 (see _entries_below): C-level work with no boxed
-        # int per entry, and no copy of the whole table.
+        # The entries are read as unsigned, so a negative "i" entry reads as
+        # at least 2^31 and fails the same bound as an entry >= size.  The
+        # check compares the 16- or 32-bit lanes of one big integer per chunk
+        # of 2^14 entries against size - 1 (see _entries_below): C-level work
+        # with no boxed int per entry, and no copy of the whole table.
         if not _entries_below(flat, size):
             raise ValueError(_OUT_OF_RANGE)
         self.size = size
@@ -153,10 +174,32 @@ class FiniteGroup:
 
     @cached_property
     def inverses(self) -> list[int]:
+        """A two-sided inverse of every element.
+
+        In a group of order n, x^-1 = x^(n-1).  Left-to-right
+        square-and-multiply makes it for every x at once, one gather of the
+        table per step, and two more gathers check x*y = y*x = e exactly.
+        In a group that inverse is the only one; a table that is not a group
+        may have others, and then this one need not be the least.  A table
+        that fails the check is not a group; it takes the byte search
+        ``_inverse_of`` per element, which finds the least two-sided inverse
+        or names the first element without one.
+        """
         e = self.identity_index
         n = self.size
         t = self._table
-        out = [_inverse_of(t, n, e, i) for i in range(n)]
+        cols = range(n)
+        y = list(cols) if n > 1 else [e]  # x^1, or x^0 when n = 1
+        for bit in bin(n - 1)[3:]:
+            y = _gather(t, list(map((n + 1).__mul__, y)))  # y*y
+            if bit == "1":
+                y = _gather(t, list(map(add, map(n.__mul__, y), cols)))  # y*x
+        if (
+            _gather(t, list(map(add, range(0, n * n, n), y))).count(e) == n
+            and _gather(t, list(map(add, map(n.__mul__, y), cols))).count(e) == n
+        ):
+            return list(y)
+        out = [_inverse_of(t, n, e, i) for i in cols]
         if -1 in out:
             raise ValueError(f"element {out.index(-1)} has no two-sided inverse")
         return out
@@ -392,8 +435,9 @@ def _direct_sum_table(moduli: Sequence[int]) -> array:
     """Flat Cayley table of C_m1 x ... x C_mk on mixed-radix indices (the
     last coordinate fastest): row x is the identity row read through
     y -> y + x, one translate of ``_translates`` per row."""
-    table = array("i")
-    for row in _translates(array("i", range(math.prod(moduli))), moduli):
+    size = math.prod(moduli)
+    table = array(_table_typecode(size))
+    for row in _translates(array(table.typecode, range(size)), moduli):
         table += row
     return table
 
@@ -497,7 +541,7 @@ def _first_nonassociative(
         for a, through_a in getters:
             xa = row_x[a] * n
             lhs = t[xa : xa + n]
-            rhs = array("i", through_a(row_x))
+            rhs = array(t.typecode, through_a(row_x))
             if lhs != rhs:
                 y = next(y for y in range(n) if lhs[y] != rhs[y])
                 return x, a, y
@@ -659,7 +703,7 @@ def quotient(g: FiniteGroup, n_sub: Subgroup) -> FiniteGroup:
         reps.append(i)
         for x in _gather(t[i * n : (i + 1) * n], n_sub.elements):
             coset_id[x] = cid
-    table = array("i")
+    table = array(_table_typecode(len(reps)))
     for r in reps:
         table.extend(_gather(coset_id, _gather(t[r * n : (r + 1) * n], reps)))
     return FiniteGroup(table, len(reps))

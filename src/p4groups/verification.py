@@ -128,7 +128,7 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
     results.append(CheckResult("coset-census-balance", not failure, failure))
 
     try:
-        emit_table2(cfg)
+        emit_table2(cfg, cands)
         results.append(CheckResult("table2-reverification", True))
     except ClassificationError as exc:
         results.append(CheckResult("table2-reverification", False, str(exc)))

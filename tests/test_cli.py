@@ -368,9 +368,9 @@ class TestVerifyCommand:
         assert len(calls) == 112
 
     def test_one_build_per_candidate(self, capsys, monkeypatch):
-        # 15 candidates, 10 Table 2 rows and 261 transform trials: the
-        # per-candidate checks, classify_p4 and the transform trials share
-        # each candidate's group.
+        # 15 candidates and 261 transform trials: the per-candidate checks,
+        # the Table 2 rows, classify_p4 and the transform trials share each
+        # candidate's group.
         calls = []
 
         def counting(t):
@@ -380,7 +380,7 @@ class TestVerifyCommand:
             monkeypatch.setattr(module, "build_group", counting)
         code, _, _ = run(capsys, "verify", "--p", "3")
         assert code == 0
-        assert len(calls) == 286
+        assert len(calls) == 276
 
     def test_catalog_entry_with_tau_to_the_p_not_identity_fails(self, capsys, monkeypatch):
         # 2*I on C9 x C3 has order 6, so tau^3 != I although tau != I.

@@ -104,10 +104,9 @@ class TestEntriesBelow:
     def values(bound):
         return [0, 255, 256, 65535, 65536, bound - 1, bound, -1, -2**31, 2**31 - 1]
 
-    @pytest.mark.parametrize("bound", BOUNDS)
-    def test_random_arrays(self, bound):
+    @staticmethod
+    def check_random(typecode, bound, values, reference):
         rng = random.Random(bound)
-        values = self.values(bound)
         good = [v for v in values if 0 <= v < bound]
         verdicts = set()
         for length in (1, 2, 3, 7, 64):
@@ -115,14 +114,18 @@ class TestEntriesBelow:
                 # Half the arrays draw every entry from all values; the rest
                 # draw from the good ones and then set one random entry.
                 if rng.random() < 0.5:
-                    a = array("i", [rng.choice(values) for _ in range(length)])
+                    a = array(typecode, [rng.choice(values) for _ in range(length)])
                 else:
-                    a = array("i", [rng.choice(good) for _ in range(length)])
+                    a = array(typecode, [rng.choice(good) for _ in range(length)])
                     a[rng.randrange(length)] = rng.choice(values)
-                verdict = self.reference(a, bound)
+                verdict = reference(a, bound)
                 assert _entries_below(a, bound) == verdict, list(a)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_random_arrays(self, bound):
+        self.check_random("i", bound, self.values(bound), self.reference)
 
     @pytest.mark.parametrize("bound", BOUNDS)
     def test_bad_entry_in_the_last_partial_chunk(self, bound):
@@ -143,6 +146,42 @@ class TestEntriesBelow:
         for bound in (0, 2**31 + 1):
             with pytest.raises(ValueError, match="bound must lie"):
                 _entries_below(array("i", [0]), bound)
+
+    # Two-byte tables: 16-bit lanes, so bound <= 2^15.
+
+    H_BOUNDS = [1, 2, 256, 257, 2401, 2**15 - 1, 2**15]
+
+    @staticmethod
+    def h_values(bound):
+        return sorted({0, 255, 256, bound - 1, bound, 2**15 - 1, 2**15, 2**16 - 1})
+
+    @pytest.mark.parametrize("bound", H_BOUNDS)
+    def test_random_h_arrays(self, bound):
+        self.check_random("H", bound, self.h_values(bound), lambda a, b: max(a) < b)
+
+    def test_h_bound_2_to_the_15(self):
+        top = array("H", [2**15 - 1]) * 5
+        assert _entries_below(top, 2**15)
+        for i in range(5):
+            a = array("H", top)
+            a[i] = 2**15
+            assert not _entries_below(a, 2**15)
+
+    @pytest.mark.parametrize("bound", [2, 257, 2401, 2**15 - 1])
+    def test_h_entry_one_above_the_top_beside_a_chunk_edge(self, bound):
+        # Every lane holds bound - 1, so adding the lift to it fills the lane
+        # up to bit w - 1; the entry bound is the one that sets bit w.
+        a = array("H", [bound - 1]) * (2 * _RANGE_CHUNK)
+        assert _entries_below(a, bound)
+        for i in (_RANGE_CHUNK - 2, _RANGE_CHUNK - 1, _RANGE_CHUNK, 2 * _RANGE_CHUNK - 1):
+            b = array("H", a)
+            b[i] = bound
+            assert not _entries_below(b, bound)
+
+    def test_h_bound_above_2_to_the_15_rejected(self):
+        for bound in (0, 2**15 + 1, 2**16):
+            with pytest.raises(ValueError, match=r"bound must lie in 1\.\.2\^15"):
+                _entries_below(array("H", [0]), bound)
 
 
 class TestVerifyGroupAxioms:

@@ -259,9 +259,18 @@ def test_quotient_accepts_exactly_the_normal_cyclic_subgroups(group):
                 quotient(group, sub)
 
 
+def test_group_inverses_take_no_byte_search(monkeypatch):
+    # In a group, x^(n-1) passes the two-sided check; the per-element byte
+    # search is only the fallback for tables that are not groups.
+    monkeypatch.setattr(groups_module, "_inverse_of", None)
+    for g in (build_group(candidate_types(CFG3)[0].ext), groups_module.abelian_group([2, 3, 4])):
+        assert g.inverses == brute_inverses(g)
+
+
 def test_inverse_skips_one_sided_identity():
     # Row 1 holds the identity at column 2 first, but 2*1 = 1; the least
-    # two-sided inverse of 1 is 3.
+    # two-sided inverse of 1 is 3.  Here 1^3 = (1*1)*1 = 0 is no inverse of
+    # 1, so the gathered powers fail the check and the byte search runs.
     rows = [[0, 1, 2, 3], [1, 3, 0, 0], [2, 1, 0, 1], [3, 0, 1, 0]]
     g = FiniteGroup([x for row in rows for x in row], 4)
     assert g.inverses == brute_inverses(g) == [0, 3, 2, 1]

@@ -2,9 +2,12 @@
 
 The sha256 of every built table is compared with hashes saved from an
 earlier commit (``golden/table-sha256.json``), so a change to how tables are
-built cannot change a single entry.  The p = 7 hashes are checked in the slow
-tier (``-m slow``).  The translation helper, the direct-sum table and the
-element orders are checked against direct definitions.
+built cannot change a single entry.  The entries are hashed as 32-bit words
+whatever width the table stores them in, and a separate test pins that every
+table producer uses the width of ``_table_typecode``.  The p = 7 hashes are
+checked in the slow tier (``-m slow``).  The translation helper, the
+direct-sum table and the element orders are checked against direct
+definitions.
 """
 
 import hashlib
@@ -19,7 +22,18 @@ import pytest
 
 from p4groups.classify import ClassifyConfig, abelian_catalog, candidate_types
 from p4groups.extension import ExtensionType, build_group
-from p4groups.groups import FiniteGroup, _direct_sum_table, _translates, abelian_group
+from p4groups import extension, groups
+from p4groups.groups import (
+    FiniteGroup,
+    _direct_sum_table,
+    _table_typecode,
+    _translates,
+    abelian_group,
+    center,
+    isomorphic,
+    quotient,
+    verify_group_axioms,
+)
 from p4groups.residues import MixedModulusMatrix, ModulusProfile
 
 GOLDEN = Path(__file__).parent / "golden" / "table-sha256.json"
@@ -46,10 +60,10 @@ OTHER_MODULI = [(1,), (2, 3, 4), (6, 10), (81,), (9, 9), (3, 3, 3, 3), (625,), (
 
 
 def table_sha256(g) -> str:
-    """sha256 of the table's entries as little-endian 32-bit words."""
-    t = g._table
+    """sha256 of the table's entries as little-endian 32-bit words, whatever
+    width the table stores them in."""
+    t = array("i", g._table)
     if sys.byteorder == "big":
-        t = t[:]
         t.byteswap()
     return hashlib.sha256(t.tobytes()).hexdigest()
 
@@ -156,3 +170,48 @@ def test_element_orders_fall_back_to_the_walk():
     g = FiniteGroup([0, 1, 1, 1], 2)  # x*y = max(x, y): the powers of 1 never reach 0
     with pytest.raises(ValueError, match="element 1 generates no cyclic subgroup"):
         g.element_orders
+
+
+def test_typecode_rule_at_its_cut_off():
+    assert _table_typecode(1) == _table_typecode(2**15) == "H"
+    assert _table_typecode(2**15 + 1) == _table_typecode(17**4) == "i"
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_every_producer_makes_the_rule_typecode(p, monkeypatch):
+    # The constructor converts a table of any other typecode, so record what
+    # each producer hands it: a table of the wrong width would be copied.
+    handed = []
+    real = FiniteGroup.__init__
+
+    def recording(self, table, size):
+        handed.append((table.typecode, _table_typecode(size)))
+        real(self, table, size)
+    monkeypatch.setattr(FiniteGroup, "__init__", recording)
+    g = build_group(candidate_types(ClassifyConfig.for_prime(p))[0].ext)
+    abelian_group([p**2, p, p])
+    quotient(g, center(g))
+    assert set(handed) == {("H", "H")}
+    monkeypatch.undo()
+    for table in (list(g._table), array("i", g._table)):
+        assert FiniteGroup(table, g.size)._table.typecode == "H"
+    assert FiniteGroup(g._table, g.size)._table is g._table
+
+
+def test_four_byte_tables_behave_as_two_byte_ones(monkeypatch):
+    # Above 2^15 elements tables are "i" arrays; forcing that typecode at
+    # order 81 runs the same producers and queries on that branch.
+    c = candidate_types(P3)[0]
+    narrow = build_group(c.ext)
+    for module in (groups, extension):
+        monkeypatch.setattr(module, "_table_typecode", lambda size: "i")
+    wide = build_group(c.ext)
+    assert wide._table.typecode == "i"
+    assert table_sha256(wide) == table_sha256(narrow) == golden()["p3"][c.label]
+    assert _direct_sum_table([9, 3, 3]).typecode == "i"
+    assert quotient(wide, center(wide))._table.typecode == "i"
+    assert FiniteGroup(narrow._table, narrow.size)._table.typecode == "i"
+    assert verify_group_axioms(wide).ok
+    assert wide.inverses == narrow.inverses
+    assert wide.fingerprint_value == narrow.fingerprint_value
+    assert isomorphic(wide, narrow)[0]
