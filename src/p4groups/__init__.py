@@ -38,7 +38,6 @@ from .extension import (
     ExtensionType,
     build_group,
     conjugate_type,
-    ext_inverse,
     identity_element,
     multiply,
     norm_apply,

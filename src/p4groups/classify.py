@@ -553,8 +553,7 @@ def emit_table2(
             raise ClassificationError(
                 f"center of {c.label} is {center_inv}, fixed subgroup gives {invariants}"
             )
-        e = group.identity_index
-        brute = sum(1 for i in range(group.size) if group.power(i, cfg.p) == e)
+        brute = group.pth_powers.count(group.identity_index)
         if brute != census:
             raise ClassificationError(
                 f"census closed form {census} != brute force {brute} for {c.label}"

@@ -133,13 +133,6 @@ def multiply(t: ExtensionType, g: ExtElement, h: ExtElement) -> ExtElement:
     return ExtElement(x, (g.i + h.i) % t.n)
 
 
-def ext_inverse(t: ExtensionType, g: ExtElement) -> ExtElement:
-    if g.i == 0:
-        return ExtElement(-g.x, 0)
-    k = t.n - g.i
-    return ExtElement(mat_apply(_tau_power(t.tau, k), -(t.v + g.x)), k)
-
-
 def ext_power(t: ExtensionType, g: ExtElement, k: int) -> ExtElement:
     result = identity_element(t)
     for _ in range(k):
@@ -190,6 +183,29 @@ def build_group(t: ExtensionType) -> FiniteGroup:
             table[(coset + x) * size : (coset + x + 1) * size] = row
         tau_i = _gather(tau, tau_i)
     return FiniteGroup(table, size)
+
+
+def _product_column(t: ExtensionType, c: int) -> array:
+    """Column c of ``build_group(t)``'s table, read from the floor form: the
+    index of g*c for every g, in row order, with no table built.
+
+    With c = (y, a^j), row (x, a^i) holds
+    (x + tau^i(y) + floor((i+j)/n)*v, a^((i+j) mod n)), so the rows of coset
+    a^i are rank(x + z_i) by rank x for z_i = tau^i(y) + floor((i+j)/n)*v:
+    one ``_plus_ranks`` translate per coset, offset by coset (i+j) mod n.
+    """
+    profile, n = t.profile, t.n
+    nsize = profile.order
+    j, r = divmod(c, nsize)
+    images = [profile.element(profile.coords_of(r))]  # tau^i(y) by i
+    for _ in range(n - 1):
+        images.append(mat_apply(t.tau, images[-1]))
+    column = array(_table_typecode(nsize * n))
+    for i, z in enumerate(images):
+        base = (i + j) % n * nsize
+        shift = z + t.v if i + j >= n else z
+        column.extend([base + s for s in _plus_ranks(profile, shift.coords)])
+    return column
 
 
 def _plus_ranks(profile: ModulusProfile, x: tuple[int, ...]) -> array:

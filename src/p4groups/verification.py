@@ -8,8 +8,12 @@ the transform defines, with no search (see ``_check_transforms``):
 a -> x*a maps (y, a'^j) to (y + x + tau(x) + ... + tau^(j-1)(x), a^j),
 a -> a^i maps (y, b^j) to (y + floor(ij/n)*v, a^(ij mod n)), and phi maps
 (y, c^j) to (phi^-1(y), a^j); the map must be a bijection that respects the
-products with the candidate's generators.  Only the transform trials shrink
-above p = 3.  The per-candidate checks, ``classify_p4`` and the transform
+products with the candidate's generators.  A trial builds no table: it reads
+the columns it checks from the transformed type's floor form
+(``extension._product_column``).  The certificate has two premises: the
+candidate table is associative (group-axioms), and the transformed type is
+valid by construction, so its floor form is a group.  Only the transform
+trials shrink above p = 3.  The per-candidate checks, ``classify_p4`` and the transform
 trials share each candidate's one group, ``CandidateType.group``.
 """
 
@@ -33,19 +37,13 @@ from .extension import (
     ExtElement,
     _coset_map,
     _linear_ranks,
-    build_group,
+    _product_column,
     conjugate_type,
     ext_power,
     power_substitute,
     shift_generator,
 )
-from .groups import (
-    _gather,
-    _respects_generators,
-    element_order,
-    isomorphic,
-    verify_group_axioms,
-)
+from .groups import _gather, element_order, isomorphic, verify_group_axioms
 from .residues import MixedModulusMatrix, mat_apply, mat_pow, norm_matrix
 
 
@@ -107,8 +105,7 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
     for c in cands:
         closed = census_closed_form(c.ext)
         group = c.group
-        e = group.identity_index
-        brute = sum(1 for i in range(group.size) if group.power(i, p) == e)
+        brute = group.pth_powers.count(group.identity_index)
         if closed != brute:
             failure = f"{c.label}: closed={closed} brute={brute}"
             break
@@ -200,8 +197,9 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
 def _check_transforms(cfg, cands) -> CheckResult:
     """Each equivalence transformation must come with its own isomorphism.
 
-    Every trial builds the transformed group and writes down the map the
-    transform defines from it onto the group of the type t, on the numbering
+    Every trial applies the transform, which validates the transformed type
+    t' (or raises, a failure), and writes down the map the transform defines
+    from the group of t' onto the group of the type t, on the numbering
     (x, a^j) -> j*|N| + rank(x) of ``build_group``:
 
     - ``shift_generator(t, x)``: (y, a'^j) -> (y + x + tau(x) + ... + tau^(j-1)(x), a^j);
@@ -211,10 +209,13 @@ def _check_transforms(cfg, cands) -> CheckResult:
     The map is inverted as a permutation, which fails unless it is a
     bijection, and the inverse must satisfy img(x*s) = img(x)*img(s) for
     every x and every member s of the generating sequence of t's group
-    (``_respects_generators``).  That group is associative (group-axioms),
-    so the map is an isomorphism.  No search is run: a map that fails is a
-    failure of the transform.  At p = 3 every candidate gets up to five
-    parameters of each kind; above p = 3, the first three candidates get one.
+    (``_is_isomorphism``).  The products on the side of t' are the columns
+    img(s) of its floor form, read from t' without building its table.  The
+    certificate has two premises: t's group is associative (group-axioms),
+    and t' is valid by construction, so its floor form is a group.  No
+    search is run: a map that fails is a failure of the transform.  At p = 3
+    every candidate gets up to five parameters of each kind; above p = 3,
+    the first three candidates get one.
     """
     p = cfg.p
     selected, count = (cands, 5) if p == 3 else (cands[:3], 1)
@@ -222,7 +223,7 @@ def _check_transforms(cfg, cands) -> CheckResult:
         base = c.group
         for op_name, op, img in _transform_trials(c.ext, count):
             try:
-                transformed = build_group(op())
+                transformed = op()
             except ValueError as exc:
                 return CheckResult("transform-equivalence", False,
                                    f"{c.label} {op_name}: {exc}")
@@ -269,17 +270,25 @@ def _transform_trials(t, count):
     return trials
 
 
-def _is_isomorphism(img, g1, g2) -> bool:
-    """Whether the index map img from g1 onto g2 is an isomorphism; g2 must
-    be associative.  Its inverse, found by sorting, is checked on g2's
-    generating sequence."""
-    size = g2.size
-    if g1.size != size or len(img) != size:
+def _is_isomorphism(img, t, g) -> bool:
+    """Whether the index map img from the group of type t onto g is an
+    isomorphism: its inverse, found by sorting, must be a bijection that
+    respects the products with g's generating sequence, read on t's side
+    from the floor form (``_product_column``).  As in
+    ``groups._respects_generators``, that proves an isomorphism because g is
+    associative (group-axioms) and t is valid by construction, so its floor
+    form is a group."""
+    size = g.size
+    if t.group_order != size or len(img) != size:
         return False
     inverse = sorted(range(size), key=img.__getitem__)
     if _gather(img, inverse) != tuple(range(size)):
         return False
-    return _respects_generators(g2, g1, inverse, g2.generating_sequence)
+    table = g._table
+    return all(
+        _gather(inverse, table[s::size]) == _gather(_product_column(t, inverse[s]), inverse)
+        for s in g.generating_sequence
+    )
 
 
 def _kernel_automorphisms(profile) -> list[MixedModulusMatrix]:

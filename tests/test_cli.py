@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from p4groups import classify, groups, verification
+import p4groups
+from p4groups import classify, extension, groups, verification
 from p4groups.classify import ClassificationError, ClassifyConfig, candidate_types
 from p4groups.cli import main
 from p4groups.extension import build_group
@@ -368,19 +369,34 @@ class TestVerifyCommand:
         assert len(calls) == 112
 
     def test_one_build_per_candidate(self, capsys, monkeypatch):
-        # 15 candidates and 261 transform trials: the per-candidate checks,
-        # the Table 2 rows, classify_p4 and the transform trials share each
-        # candidate's group.
+        # 15 candidates: the per-candidate checks, the Table 2 rows,
+        # classify_p4 and the transform trials share each candidate's group,
+        # and the 261 transform trials build none.
         calls = []
 
         def counting(t):
             calls.append(None)
             return build_group(t)
-        for module in (classify, verification):
-            monkeypatch.setattr(module, "build_group", counting)
+        monkeypatch.setattr(classify, "build_group", counting)
         code, _, _ = run(capsys, "verify", "--p", "3")
         assert code == 0
-        assert len(calls) == 276
+        assert len(calls) == 15
+
+    def test_transform_trials_build_no_table(self, monkeypatch):
+        # Each trial reads the columns it checks from the floor form.
+        cfg = ClassifyConfig.for_prime(3)
+        cands = candidate_types(cfg)
+        for c in cands:
+            c.group
+        calls = []
+
+        def counting(t):
+            calls.append(None)
+            return build_group(t)
+        for module in (p4groups, classify, extension):
+            monkeypatch.setattr(module, "build_group", counting)
+        assert verification._check_transforms(cfg, cands).ok
+        assert calls == []
 
     def test_catalog_entry_with_tau_to_the_p_not_identity_fails(self, capsys, monkeypatch):
         # 2*I on C9 x C3 has order 6, so tau^3 != I although tau != I.

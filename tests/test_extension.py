@@ -10,9 +10,9 @@ from p4groups.extension import (
     ExtElement,
     ExtensionType,
     _linear_ranks,
+    _product_column,
     build_group,
     conjugate_type,
-    ext_inverse,
     ext_power,
     identity_element,
     multiply,
@@ -128,32 +128,6 @@ class TestMultiply:
                 gh = multiply(t, g, h)
                 for k in els[::7]:
                     assert multiply(t, gh, k) == multiply(t, g, multiply(t, h, k))
-
-
-class TestExtInverse:
-    def test_identity(self):
-        t = make_type(3, "p2xp", ((1, 3), (0, 1)), (0, 0))
-        assert ext_inverse(t, identity_element(t)) == identity_element(t)
-
-    def test_trivial_v_coset_generator(self):
-        t = make_type(3, "p2xp", ((1, 3), (0, 1)), (0, 0))
-        a = ExtElement(t.profile.zero(), 1)
-        assert ext_inverse(t, a) == ExtElement(t.profile.zero(), 2)
-
-    def test_nontrivial_v(self):
-        t = make_type(3, "p2xp", ((1, 0), (1, 1)), (0, 1))
-        a = ExtElement(t.profile.zero(), 1)
-        assert ext_inverse(t, a) == ExtElement(t.profile.element((0, 2)), 2)
-
-    def test_inverse_law_exhaustive(self):
-        t = make_type(3, "p2xp", ((1, 6), (1, 1)), (0, 0))
-        e = identity_element(t)
-        for x in t.profile.elements():
-            for i in range(3):
-                g = ExtElement(x, i)
-                gi = ext_inverse(t, g)
-                assert multiply(t, g, gi) == e
-                assert multiply(t, gi, g) == e
 
 
 class TestBuildGroup:
@@ -370,3 +344,24 @@ class TestTransformTrialMaps:
         for shape in ("p2xp", "pxpxp"):
             profile = ModulusProfile(3, shape)
             assert MixedModulusMatrix.identity(profile) not in _kernel_automorphisms(profile)
+
+
+class TestProductColumn:
+    """``_product_column`` reads one column of ``build_group(t)``'s table
+    from the floor form, as the transform trials do."""
+
+    @pytest.mark.parametrize("cand", P3_CANDIDATES, ids=lambda c: c.label)
+    def test_every_column_at_p3(self, cand):
+        # The candidate and every type its transform trials yield.
+        for t in [cand.ext] + [op() for _, op, _ in _transform_trials(cand.ext, 5)]:
+            g = build_group(t)
+            n = g.size
+            for c in range(n):
+                assert _product_column(t, c) == g._table[c::n], (t, c)
+
+    @pytest.mark.parametrize("cand", P5_FIRST_CANDIDATES, ids=lambda c: c.label)
+    def test_generator_columns_at_p5(self, cand):
+        g = cand.group
+        n = g.size
+        for c in g.generating_sequence:
+            assert _product_column(cand.ext, c) == g._table[c::n], c

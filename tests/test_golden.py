@@ -21,6 +21,7 @@ BENCH_REFERENCE = Path(__file__).parent.parent / "p4bench" / "reference"
         (["classify", "--p", "3", "--format", "csv"], "classify-p3.csv"),
         (["tables", "--p", "3"], "tables-p3.txt"),
         (["verify", "--p", "3", "--seed", "0"], "verify-p3.txt"),
+        (["verify", "--p", "5", "--seed", "0"], "verify-p5.txt"),
         pytest.param(["classify", "--p", "7", "--format", "json"], "classify-p7.json",
                      marks=pytest.mark.slow),
     ],
