@@ -9,7 +9,6 @@ from .residues import (
     SHAPE_MIXED,
     fixed_points,
     image_subgroup,
-    jordan_reduce,
     mat_apply,
     mat_inverse,
     mat_mul,
@@ -38,7 +37,6 @@ from .extension import (
     ExtensionType,
     build_group,
     conjugate_type,
-    identity_element,
     multiply,
     norm_apply,
     power_substitute,

@@ -47,21 +47,22 @@ class ClassificationError(Exception):
 
 @dataclass(frozen=True)
 class ClassifyConfig:
-    """Classification parameters: an odd prime p and a quadratic nonresidue."""
+    """Classification parameters: an odd prime p."""
 
     p: int
-    epsilon: int
 
     def __post_init__(self) -> None:
         _check_bound(self.p)
         least_nonresidue(self.p)  # rejects any p that is not an odd prime
-        if not _is_nonresidue(self.epsilon, self.p):
-            raise ValueError(f"{self.epsilon} is a square modulo {self.p}")
 
     @classmethod
     def for_prime(cls, p: int) -> "ClassifyConfig":
-        _check_bound(p)
-        return cls(p, least_nonresidue(p))
+        return cls(p)
+
+    @property
+    def epsilon(self) -> int:
+        """The least quadratic nonresidue modulo p."""
+        return least_nonresidue(self.p)
 
     @property
     def mixed_profile(self) -> ModulusProfile:

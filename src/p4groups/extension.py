@@ -117,8 +117,9 @@ def _inverse(phi: MixedModulusMatrix) -> MixedModulusMatrix:
     return mat_inverse(phi)
 
 
-def identity_element(t: ExtensionType) -> ExtElement:
-    return ExtElement(t.profile.zero(), 0)
+@lru_cache(maxsize=1024)
+def _norm_matrix(tau: MixedModulusMatrix, n: int) -> MixedModulusMatrix:
+    return norm_matrix(tau, n)
 
 
 def multiply(t: ExtensionType, g: ExtElement, h: ExtElement) -> ExtElement:
@@ -133,17 +134,10 @@ def multiply(t: ExtensionType, g: ExtElement, h: ExtElement) -> ExtElement:
     return ExtElement(x, (g.i + h.i) % t.n)
 
 
-def ext_power(t: ExtensionType, g: ExtElement, k: int) -> ExtElement:
-    result = identity_element(t)
-    for _ in range(k):
-        result = multiply(t, result, g)
-    return result
-
-
 def norm_apply(t: ExtensionType, x: AbelianElement) -> AbelianElement:
     """x + tau(x) + ... + tau^(n-1)(x); inside the built group,
     (x, a)^n = (norm(x) + v, a^0)."""
-    return mat_apply(norm_matrix(t.tau, t.n), x)
+    return mat_apply(_norm_matrix(t.tau, t.n), x)
 
 
 def build_group(t: ExtensionType) -> FiniteGroup:

@@ -276,46 +276,3 @@ def image_subgroup(m: MixedModulusMatrix) -> Subgroup:
     inverts it)."""
     image = {mat_apply(m, v).rank() for v in m.profile.elements()}
     return _kernel_subgroup(m.profile, image)
-
-
-# ---------------------------------------------------------------------------
-# The Jordan form of order-p automorphisms of the elementary kernel.
-
-_JORDAN_BLOCK_2 = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
-_JORDAN_BLOCK_3 = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
-
-
-def jordan_reduce(tau: MixedModulusMatrix) -> tuple[MixedModulusMatrix, MixedModulusMatrix]:
-    """Jordan form of an automorphism tau of (p, p, p) with tau^p = I.
-
-    Returns (canonical, g), both on tau's profile, with g tau g^-1 =
-    canonical.  canonical is the identity, one 2-block (tau - I of rank 1,
-    which holds exactly when (tau - I)^2 = 0) or one 3-block.  Raises
-    ValueError for the (p^2, p) profile or when tau^p is not the identity.
-    """
-    profile = tau.profile
-    if profile.shape != SHAPE_ELEMENTARY:
-        raise ValueError("Jordan reduction needs the (p, p, p) profile")
-    identity = MixedModulusMatrix.identity(profile)
-    if mat_pow(tau, profile.p) != identity:
-        raise ValueError("matrix order does not divide p")
-    if tau == identity:
-        return identity, identity
-    nil = MixedModulusMatrix(
-        tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(tau.entries)),
-        profile,
-    )
-    nil2 = mat_mul(nil, nil)
-    if nil2 == MixedModulusMatrix.zero(profile):
-        v = next(x for x in profile.elements() if not mat_apply(nil, x).is_zero())
-        u = mat_apply(nil, v)
-        line = {u.scale(k) for k in range(profile.p)}
-        # ker(tau - I) is a plane containing u; any w in it off the line <u>
-        # completes the basis.
-        w = next(x for x in profile.elements() if mat_apply(nil, x).is_zero() and x not in line)
-        chain, canonical = (u, v, w), _JORDAN_BLOCK_2
-    else:
-        v = next(x for x in profile.elements() if not mat_apply(nil2, x).is_zero())
-        chain, canonical = (mat_apply(nil2, v), mat_apply(nil, v), v), _JORDAN_BLOCK_3
-    basis = MixedModulusMatrix(tuple(zip(*(x.coords for x in chain))), profile)
-    return MixedModulusMatrix(canonical, profile), mat_inverse(basis)

@@ -34,17 +34,16 @@ from .classify import (
     verify_prop_no_cyclic,
 )
 from .extension import (
-    ExtElement,
     _coset_map,
     _linear_ranks,
     _product_column,
     conjugate_type,
-    ext_power,
+    norm_apply,
     power_substitute,
     shift_generator,
 )
 from .groups import _gather, element_order, isomorphic, verify_group_axioms
-from .residues import MixedModulusMatrix, mat_apply, mat_pow, norm_matrix
+from .residues import MixedModulusMatrix, mat_apply, mat_pow
 
 
 @dataclass(frozen=True)
@@ -79,50 +78,14 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
         return results
     results.append(CheckResult("candidate-validation", True))
 
-    failure = ""
-    for c in cands:
-        report = verify_group_axioms(c.group)
-        if not report.ok:
-            failure = f"{c.label}: {report.failure}"
-            break
-    results.append(CheckResult("group-axioms", not failure, failure))
-
-    failure = ""
-    for c in cands:
-        t = c.ext
-        norm = norm_matrix(t.tau, t.n)
-        for x in t.profile.elements():
-            lhs = ext_power(t, ExtElement(x, 1), t.n)
-            rhs = ExtElement(mat_apply(norm, x) + t.v, 0)
-            if lhs != rhs:
-                failure = f"{c.label}: x={x.coords}"
-                break
-        if failure:
-            break
-    results.append(CheckResult("power-norm-law", not failure, failure))
-
-    failure = ""
-    for c in cands:
-        closed = census_closed_form(c.ext)
-        group = c.group
-        brute = group.pth_powers.count(group.identity_index)
-        if closed != brute:
-            failure = f"{c.label}: closed={closed} brute={brute}"
-            break
-    results.append(CheckResult("census-closed-form", not failure, failure))
-
-    failure = ""
-    nsize = p ** 3
-    for c in cands:
-        group = c.group
-        per_coset = [
-            sum(1 for r in range(nsize) if element_order(group, i * nsize + r) in (1, p))
-            for i in range(p)
-        ]
-        if len(set(per_coset[1:])) > 1:
-            failure = f"{c.label}: per-coset counts {per_coset}"
-            break
-    results.append(CheckResult("coset-census-balance", not failure, failure))
+    for name, problem in [
+        ("group-axioms", _axioms_problem),
+        ("power-norm-law", _power_norm_problem),
+        ("census-closed-form", _census_problem),
+        ("coset-census-balance", _coset_balance_problem),
+    ]:
+        failure = _first_failure(cands, problem)
+        results.append(CheckResult(name, not failure, failure))
 
     try:
         emit_table2(cfg, cands)
@@ -192,6 +155,54 @@ def run_verification_suite(cfg: ClassifyConfig) -> list[CheckResult]:
 
     results.append(_check_transforms(cfg, cands))
     return results
+
+
+def _first_failure(cands, problem) -> str:
+    """"<label>: <detail>" for the first candidate c whose problem(c) is
+    non-empty, else ""."""
+    for c in cands:
+        detail = problem(c)
+        if detail:
+            return f"{c.label}: {detail}"
+    return ""
+
+
+def _axioms_problem(c) -> str:
+    report = verify_group_axioms(c.group)
+    return "" if report.ok else f"{report.failure}"
+
+
+def _power_norm_problem(c) -> str:
+    """The first kernel element x, as "x=<coords>", whose p-th power
+    (x, a)^p in the candidate's table is not (norm(x) + v, a^0), else "".
+
+    Every catalog type has n = p, so (x, a)^n is the entry of ``pth_powers``
+    for (x, a), index |N| + rank(x).  The expected side is computed on the
+    kernel elements with ``norm_apply``, not with the rank machinery that
+    builds the table."""
+    t, powers = c.ext, c.group.pth_powers
+    nsize = t.profile.order
+    for x in t.profile.elements():
+        if powers[nsize + x.rank()] != (norm_apply(t, x) + t.v).rank():
+            return f"x={x.coords}"
+    return ""
+
+
+def _census_problem(c) -> str:
+    closed = census_closed_form(c.ext)
+    brute = c.group.pth_powers.count(c.group.identity_index)
+    return "" if closed == brute else f"closed={closed} brute={brute}"
+
+
+def _coset_balance_problem(c) -> str:
+    """The nontrivial cosets of the kernel must hold equally many elements
+    of order dividing p."""
+    p, nsize = c.ext.profile.p, c.ext.profile.order
+    per_coset = [
+        sum(1 for r in range(nsize) if element_order(c.group, i * nsize + r) in (1, p))
+        for i in range(p)
+    ]
+    return "" if len(set(per_coset[1:])) <= 1 else f"per-coset counts {per_coset}"
 
 
 def _check_transforms(cfg, cands) -> CheckResult:

@@ -65,10 +65,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ClassifyConfig.for_prime(9)
 
-    def test_rejects_square_epsilon(self):
-        with pytest.raises(ValueError):
-            ClassifyConfig(5, 4)
-
     def test_large_prime_uses_no_residue_table(self):
         # Euler's criterion: no O(p) set of squares for p = 2^31 - 1.
         assert least_nonresidue(2147483647) == 3
@@ -77,7 +73,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="<= 97"):
             ClassifyConfig.for_prime(101)
         with pytest.raises(ValueError, match="<= 97"):
-            ClassifyConfig(101, 2)
+            ClassifyConfig(101)
 
 
 def catalog_entries(cfg, profile):

@@ -279,7 +279,7 @@ CHECK_BREAKERS = {
                              lambda real: _raising(ClassificationError("injected"))),
     "group-axioms": ("verify_group_axioms",
                      lambda real: lambda g: AxiomReport(False, ("identity", 0))),
-    "power-norm-law": ("ext_power", lambda real: lambda t, g, k: real(t, g, k + 1)),
+    "power-norm-law": ("norm_apply", lambda real: lambda t, x: real(t, x) + t.v),
     "census-closed-form": ("census_closed_form", lambda real: lambda t: real(t) + 1),
     # The suite runs at p = 3: flip whether the last element satisfies x^3 = e.
     "coset-census-balance": ("element_order",
@@ -331,6 +331,21 @@ class TestVerifyCommand:
         assert code == 1
         failed = [line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")]
         assert failed == [check]
+
+    def test_every_check_has_a_breaker(self, capsys):
+        code, out, _ = run(capsys, "verify", "--p", "3")
+        assert code == 0
+        printed = {line.split()[1] for line in out.splitlines() if line.startswith("[")}
+        assert set(CHECK_BREAKERS) == printed
+
+    def test_table_built_with_twice_v_fails_power_norm_law(self, capsys, monkeypatch):
+        # 2v is fixed by tau whenever v is, so the wrong table is a valid
+        # type's table; the first candidate with v != 0 is caught at x = 0.
+        monkeypatch.setattr(classify, "build_group",
+                            lambda t: build_group(replace(t, v=t.v.scale(2))))
+        code, out, _ = run(capsys, "verify", "--p", "3")
+        assert code == 1
+        assert "[FAIL] power-norm-law — 2x2-r1-v-e1: x=(0, 0)" in out.splitlines()
 
     @pytest.mark.parametrize("breakage", ["shift-keeps-v", "power-keeps-v", "conjugate-keeps-tau"])
     def test_broken_transform_fails_only_transform_equivalence(self, capsys, monkeypatch,

@@ -13,8 +13,6 @@ from p4groups.extension import (
     _product_column,
     build_group,
     conjugate_type,
-    ext_power,
-    identity_element,
     multiply,
     norm_apply,
     power_substitute,
@@ -87,7 +85,7 @@ class TestValidateType:
 class TestMultiply:
     def test_identity_element(self):
         t = make_type(3, "p2xp", ((1, 0), (1, 1)), (0, 1))
-        e = identity_element(t)
+        e = ExtElement(t.profile.zero(), 0)
         for x in t.profile.elements():
             for i in range(3):
                 g = ExtElement(x, i)
@@ -196,10 +194,12 @@ class TestNormApply:
             assert norm_apply(t, x).is_zero()
 
     def test_power_norm_law_exhaustive(self):
+        # (x, a)^3 = (norm(x) + v, a^0), read from the table: (x, a) has
+        # index 27 + rank(x).
         t = make_type(3, "p2xp", ((1, 0), (1, 1)), (0, 1))
+        g = build_group(t)
         for x in t.profile.elements():
-            lhs = ext_power(t, ExtElement(x, 1), 3)
-            assert lhs == ExtElement(norm_apply(t, x) + t.v, 0)
+            assert g.power(27 + x.rank(), 3) == (norm_apply(t, x) + t.v).rank()
 
 
 class TestTransformations:

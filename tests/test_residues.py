@@ -1,5 +1,5 @@
 """Mixed-modulus matrix algebra: application, powers, inverses, fixed points,
-norm matrices, images, and Jordan reduction."""
+norm matrices and images."""
 
 import math
 from itertools import product
@@ -12,7 +12,6 @@ from p4groups.residues import (
     ModulusProfile,
     fixed_points,
     image_subgroup,
-    jordan_reduce,
     mat_apply,
     mat_inverse,
     mat_mul,
@@ -34,7 +33,6 @@ def mat(rows, profile):
 
 
 FULL_JORDAN = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
-SINGLE_BLOCK = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
 
 
 class TestProfile:
@@ -342,49 +340,6 @@ class TestImageSubgroup:
         m = mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]], prof)
         sub = image_subgroup(m)
         assert [prof.coords_of(g) for g in sub.generators] == [(1, 0, 0)]
-
-
-class TestJordanReduce:
-    def test_identity(self):
-        identity = MixedModulusMatrix.identity(elem3(3))
-        assert jordan_reduce(identity) == (identity, identity)
-
-    def test_rank_two_gives_full_block(self):
-        prof = elem3(5)
-        canonical, _ = jordan_reduce(mat(((1, 0, 0), (1, 1, 0), (0, 1, 1)), prof))
-        assert canonical == mat(FULL_JORDAN, prof)
-
-    def test_rank_one_3x3(self):
-        prof = elem3(3)
-        canonical, _ = jordan_reduce(mat(((1, 0, 0), (2, 1, 0), (0, 0, 1)), prof))
-        assert canonical == mat(SINGLE_BLOCK, prof)
-
-    def test_exhaustive_order_three_gl3(self):
-        # Every order-3 element of GL_3(F_3) reduces, with a conjugator that
-        # carries it to its canonical form.
-        prof = elem3(3)
-        identity = MixedModulusMatrix.identity(prof)
-        found = {SINGLE_BLOCK: 0, FULL_JORDAN: 0}
-        for e in product(range(3), repeat=9):
-            m = mat((e[0:3], e[3:6], e[6:9]), prof)
-            if m == identity or not m.is_automorphism or mat_pow(m, 3) != identity:
-                continue
-            canonical, g = jordan_reduce(m)
-            assert mat_mul(mat_mul(g, m), mat_inverse(g)) == canonical
-            found[canonical.entries] += 1
-        assert found == {SINGLE_BLOCK: 104, FULL_JORDAN: 624}
-
-    def test_rejects_wrong_order(self):
-        prof = elem3(3)
-        with pytest.raises(ValueError):
-            jordan_reduce(mat(((2, 0, 0), (0, 1, 0), (0, 0, 1)), prof))
-        with pytest.raises(ValueError):
-            jordan_reduce(mat(((1, 0, 0), (0, 1, 0), (0, 0, 0)), prof))
-
-    def test_rejects_mixed_kernel(self):
-        # Conjugacy in GL_2(F_p) is not conjugacy in Aut(C_{p^2} x C_p).
-        with pytest.raises(ValueError):
-            jordan_reduce(mat(((1, 0), (1, 1)), mixed(3)))
 
 
 class TestInvariantFactors:
