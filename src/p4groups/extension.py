@@ -17,7 +17,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 from .groups import FiniteGroup, _gather, _rotated, _table_typecode, _translates
 from .residues import (
@@ -179,29 +178,6 @@ def build_group(t: ExtensionType) -> FiniteGroup:
     return FiniteGroup(table, size)
 
 
-def _product_column(t: ExtensionType, c: int) -> array:
-    """Column c of ``build_group(t)``'s table, read from the floor form: the
-    index of g*c for every g, in row order, with no table built.
-
-    With c = (y, a^j), row (x, a^i) holds
-    (x + tau^i(y) + floor((i+j)/n)*v, a^((i+j) mod n)), so the rows of coset
-    a^i are rank(x + z_i) by rank x for z_i = tau^i(y) + floor((i+j)/n)*v:
-    one ``_plus_ranks`` translate per coset, offset by coset (i+j) mod n.
-    """
-    profile, n = t.profile, t.n
-    nsize = profile.order
-    j, r = divmod(c, nsize)
-    images = [profile.element(profile.coords_of(r))]  # tau^i(y) by i
-    for _ in range(n - 1):
-        images.append(mat_apply(t.tau, images[-1]))
-    column = array(_table_typecode(nsize * n))
-    for i, z in enumerate(images):
-        base = (i + j) % n * nsize
-        shift = z + t.v if i + j >= n else z
-        column.extend([base + s for s in _plus_ranks(profile, shift.coords)])
-    return column
-
-
 def _plus_ranks(profile: ModulusProfile, x: tuple[int, ...]) -> array:
     """rank(y + x) by rank y, for reduced coordinates x: the identity row
     rotated once per coordinate of x."""
@@ -232,25 +208,6 @@ def _linear_ranks(m: MixedModulusMatrix) -> tuple[int, ...]:
             layer = _gather(plus_col, layer)
         ranks = tuple(out)
     return ranks
-
-
-def _coset_map(
-    profile: ModulusProfile,
-    linear: Sequence[int],
-    shifts: Sequence[AbelianElement],
-    sigma: int,
-) -> list[int]:
-    """The index map (y, c^j) -> (L·y + w_j, a^(sigma*j mod n)) between two
-    groups built on the same kernel and n = len(shifts), where
-    linear[rank y] = rank(L·y) and shifts[j] = w_j.  Both sides number
-    (x, a^j) as j*|kernel| + rank(x), as ``build_group`` does."""
-    nsize = profile.order
-    n = len(shifts)
-    img: list[int] = []
-    for j, w in enumerate(shifts):
-        coset = sigma * j % n * nsize
-        img += [coset + r for r in _gather(_plus_ranks(profile, w.coords), linear)]
-    return img
 
 
 # ---------------------------------------------------------------------------

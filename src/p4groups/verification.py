@@ -1,26 +1,25 @@
 """Deterministic property suite behind the ``verify`` CLI command.
 
 Each check returns its name, a pass flag, and on failure a minimal
-reproducing datum.  Every check is deterministic and exact at every prime:
-the group axioms are proved for each candidate table by Light's test (see
-``verify_group_axioms``).  Each transform trial is certified by the map
-the transform defines, with no search (see ``_check_transforms``):
-a -> x*a maps (y, a'^j) to (y + x + tau(x) + ... + tau^(j-1)(x), a^j),
-a -> a^i maps (y, b^j) to (y + floor(ij/n)*v, a^(ij mod n)), and phi maps
-(y, c^j) to (phi^-1(y), a^j); the map must be a bijection that respects the
-products with the candidate's generators.  A trial builds no table: it reads
-the columns it checks from the transformed type's floor form
-(``extension._product_column``).  The certificate has two premises: the
-candidate table is associative (group-axioms), and the transformed type is
-valid by construction, so its floor form is a group.  Only the transform
-trials shrink above p = 3.  The per-candidate checks, ``classify_p4`` and the transform
-trials share each candidate's one group, ``CandidateType.group``.
+reproducing datum.  Every check is deterministic and exact at every prime.
+group-axioms proves each candidate table a group by Light's test (see
+``verify_group_axioms``), then proves it the group of the candidate's type:
+the standard generators satisfy the type's defining relations and generate
+the table (``_relations_problem``, by von Dyck's theorem).  Each transform
+trial is certified the same way, with no search and no table built: the
+substitution the transform stands for (a -> x*a, a -> a^i, or phi^-1 on the
+kernel) names images in the candidate's group, which must satisfy the
+transformed type's relations (see ``_check_transforms``).  Only the
+transform trials shrink above p = 3.  The per-candidate checks,
+``classify_p4`` and the transform trials share each candidate's one group,
+``CandidateType.group``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .classify import (
     ClassificationError,
@@ -34,15 +33,13 @@ from .classify import (
     verify_prop_no_cyclic,
 )
 from .extension import (
-    _coset_map,
-    _linear_ranks,
-    _product_column,
+    _inverse,
     conjugate_type,
     norm_apply,
     power_substitute,
     shift_generator,
 )
-from .groups import _gather, element_order, isomorphic, verify_group_axioms
+from .groups import element_order, isomorphic, verify_group_axioms
 from .residues import MixedModulusMatrix, mat_apply, mat_pow
 
 
@@ -168,8 +165,14 @@ def _first_failure(cands, problem) -> str:
 
 
 def _axioms_problem(c) -> str:
+    """Light's test, then the type's defining relations on the generators
+    (e_k, a^0) and (0, a) of the table, at indices rank(e_k) and |N|."""
     report = verify_group_axioms(c.group)
-    return "" if report.ok else f"{report.failure}"
+    if not report.ok:
+        return f"{report.failure}"
+    profile = c.ext.profile
+    standard = [x.rank() for x in _basis(profile)] + [profile.order]
+    return _relations_problem(c.ext, standard, c.group)
 
 
 def _power_norm_problem(c) -> str:
@@ -205,101 +208,121 @@ def _coset_balance_problem(c) -> str:
     return "" if len(set(per_coset[1:])) <= 1 else f"per-coset counts {per_coset}"
 
 
+def _relations_problem(t, images, g) -> str:
+    """The first defining relation of type t that the images fail, else "".
+
+    images are indices in g: those of the kernel basis e_1, ..., e_k of t,
+    then that of t's coset generator a.  With b_k the image of e_k and
+    word(y) = b_1^y_1 * ... * b_k^y_k, the relations are b_k^m_k = e,
+    b_j b_k = b_k b_j, a b_k = word(tau(e_k)) a and a^n = word(v); then |g|
+    must be t's order and the images must generate g.
+
+    The relations present t's group: its floor form satisfies them, and they
+    reduce every word to word(x) a^i, so what they present has order |N|*n.
+    By von Dyck's theorem images that pass define a homomorphism onto g,
+    one-to-one as the orders match, given that g is a group (group-axioms).
+    Only g's products are read, never the rank helpers that build tables.
+    """
+    profile = t.profile
+    *kernel, a = images
+    e = g.identity_index
+    names = [f"e{k + 1}" for k in range(profile.rank)]
+
+    def word(y):
+        w = e
+        for b, c in zip(kernel, y.coords):
+            w = g.mul(w, g.power(b, c))
+        return w
+
+    for name, b, m in zip(names, kernel, profile.moduli):
+        if g.power(b, m) != e:
+            return f"{name}^{m} != e"
+    for j, k in combinations(range(len(kernel)), 2):
+        if g.mul(kernel[j], kernel[k]) != g.mul(kernel[k], kernel[j]):
+            return f"{names[j]} {names[k]} != {names[k]} {names[j]}"
+    for name, b, x in zip(names, kernel, _basis(profile)):
+        if g.mul(a, b) != g.mul(word(mat_apply(t.tau, x)), a):
+            return f"a {name} a^-1 != tau({name})"
+    if g.power(a, t.n) != word(t.v):
+        return f"a^{t.n} != v"
+    if t.group_order != g.size:
+        return f"order {t.group_order} != {g.size}"
+    if len(g.closure(images)) != g.size:
+        return "the images do not generate the group"
+    return ""
+
+
+def _basis(profile):
+    """The kernel's basis e_1, ..., e_k, the unit coordinate vectors."""
+    return [profile.element([int(j == k) for j in range(profile.rank)])
+            for k in range(profile.rank)]
+
+
 def _check_transforms(cfg, cands) -> CheckResult:
     """Each equivalence transformation must come with its own isomorphism.
 
     Every trial applies the transform, which validates the transformed type
-    t' (or raises, a failure), and writes down the map the transform defines
-    from the group of t' onto the group of the type t, on the numbering
-    (x, a^j) -> j*|N| + rank(x) of ``build_group``:
+    t' (or raises, a failure), and names in the candidate's group g the
+    images of the generators of t', the substitution the transform stands for:
 
-    - ``shift_generator(t, x)``: (y, a'^j) -> (y + x + tau(x) + ... + tau^(j-1)(x), a^j);
-    - ``power_substitute(t, i)``: (y, b^j) -> (y + floor(ij/n)*v, a^(ij mod n));
-    - ``conjugate_type(t, phi)``: (y, c^j) -> (phi^-1(y), a^j).
+    - ``shift_generator(t, x)``: e_k -> e_k, a' -> x*a;
+    - ``power_substitute(t, i)``: e_k -> e_k, b -> a^i;
+    - ``conjugate_type(t, phi)``: e_k -> phi^-1(e_k), c -> a.
 
-    The map is inverted as a permutation, which fails unless it is a
-    bijection, and the inverse must satisfy img(x*s) = img(x)*img(s) for
-    every x and every member s of the generating sequence of t's group
-    (``_is_isomorphism``).  The products on the side of t' are the columns
-    img(s) of its floor form, read from t' without building its table.  The
-    certificate has two premises: t's group is associative (group-axioms),
-    and t' is valid by construction, so its floor form is a group.  No
-    search is run: a map that fails is a failure of the transform.  At p = 3
-    every candidate gets up to five parameters of each kind; above p = 3,
-    the first three candidates get one.
+    The images must pass ``_relations_problem`` for t', which proves the map
+    an isomorphism given that g is a group (group-axioms).  No search is run:
+    a map that fails is a failure of the transform.  At p = 3 every candidate
+    gets up to five parameters of each kind; above p = 3, the first three
+    candidates get one.
     """
     p = cfg.p
     selected, count = (cands, 5) if p == 3 else (cands[:3], 1)
     for c in selected:
-        base = c.group
-        for op_name, op, img in _transform_trials(c.ext, count):
+        for op_name, op, images in _transform_trials(c.ext, c.group, count):
             try:
                 transformed = op()
             except ValueError as exc:
                 return CheckResult("transform-equivalence", False,
                                    f"{c.label} {op_name}: {exc}")
-            if not _is_isomorphism(img, transformed, base):
-                return CheckResult("transform-equivalence", False,
-                                   f"{c.label} {op_name}: its map is not an isomorphism")
+            problem = _relations_problem(transformed, images, c.group)
+            if problem:
+                return CheckResult("transform-equivalence", False, f"{c.label} {op_name}: "
+                                   f"its map is not an isomorphism ({problem})")
     return CheckResult("transform-equivalence", True)
 
 
-def _transform_trials(t, count):
-    """(transform name, thunk returning the transformed type, index map from
-    the transformed group onto the group of t) for count parameters of each
-    kind.  No parameter is the identity: exponents start at 2, the scalars
-    are the units of Z/e other than 1, e the kernel's exponent, and the
-    automorphism pool has no identity.  The shifts are the last kernel
-    elements in rank order, whose first coordinate is a unit; on the mixed
-    kernel their norm is nonzero for most catalog tau, so v moves."""
+def _transform_trials(t, g, count):
+    """(transform name, thunk returning the transformed type, images in g of
+    the transformed type's generators) for count parameters of each kind;
+    g is the group of t, numbered as ``build_group`` does, so e_k has index
+    rank(e_k) and a has index |N|.  No parameter is the identity: exponents
+    start at 2, the scalars are the units of Z/e other than 1, e the
+    kernel's exponent, and the automorphism pool has no identity.  The
+    shifts are the last kernel elements in rank order, whose first
+    coordinate is a unit; on the mixed kernel their norm is nonzero for most
+    catalog tau, so v moves."""
     profile, n = t.profile, t.n
     nsize = profile.order
-    same = range(nsize)
-    zeros = [profile.zero()] * n
+    basis = _basis(profile)
+    kernel = [x.rank() for x in basis]
 
     trials = []
     for r in range(nsize - count, nsize):
         x = profile.element(profile.coords_of(r))
-        partial_norms = [profile.zero()]
-        for _ in range(n - 1):
-            partial_norms.append(x + mat_apply(t.tau, partial_norms[-1]))
         trials.append(("shift_generator", lambda x=x: shift_generator(t, x),
-                       _coset_map(profile, same, partial_norms, 1)))
+                       kernel + [g.mul(r, nsize)]))
     for i in [i for i in range(2, 5 * n) if math.gcd(i, n) == 1][:count]:
-        wraps = [t.v.scale(i * j // n) for j in range(n)]
         trials.append(("power_substitute", lambda i=i: power_substitute(t, i),
-                       _coset_map(profile, same, wraps, i)))
+                       kernel + [g.power(nsize, i)]))
     # The scalar automorphism i*I commutes with tau, so conjugating by it
     # takes v to i*v alone: the scaling orbits of ``v_candidates``.
     scalars = [MixedModulusMatrix.scalar(profile, i) for i in range(2, max(profile.moduli))
                if i % profile.p][:count]
     for phi in scalars + _kernel_automorphisms(profile)[:count]:
-        phi_ranks = _linear_ranks(phi)
-        phi_inverse = sorted(same, key=phi_ranks.__getitem__)
+        phi_inverse = _inverse(phi)
         trials.append(("conjugate_type", lambda phi=phi: conjugate_type(t, phi),
-                       _coset_map(profile, phi_inverse, zeros, 1)))
+                       [mat_apply(phi_inverse, x).rank() for x in basis] + [nsize]))
     return trials
-
-
-def _is_isomorphism(img, t, g) -> bool:
-    """Whether the index map img from the group of type t onto g is an
-    isomorphism: its inverse, found by sorting, must be a bijection that
-    respects the products with g's generating sequence, read on t's side
-    from the floor form (``_product_column``).  As in
-    ``groups._respects_generators``, that proves an isomorphism because g is
-    associative (group-axioms) and t is valid by construction, so its floor
-    form is a group."""
-    size = g.size
-    if t.group_order != size or len(img) != size:
-        return False
-    inverse = sorted(range(size), key=img.__getitem__)
-    if _gather(img, inverse) != tuple(range(size)):
-        return False
-    table = g._table
-    return all(
-        _gather(inverse, table[s::size]) == _gather(_product_column(t, inverse[s]), inverse)
-        for s in g.generating_sequence
-    )
 
 
 def _kernel_automorphisms(profile) -> list[MixedModulusMatrix]:

@@ -11,7 +11,7 @@ from p4groups.classify import ClassificationError, ClassifyConfig, candidate_typ
 from p4groups.cli import main
 from p4groups.extension import build_group
 from p4groups.groups import AxiomReport
-from p4groups.residues import MixedModulusMatrix
+from p4groups.residues import MixedModulusMatrix, mat_inverse
 
 
 def run(capsys, *argv):
@@ -347,6 +347,21 @@ class TestVerifyCommand:
         assert code == 1
         assert "[FAIL] power-norm-law — 2x2-r1-v-e1: x=(0, 0)" in out.splitlines()
 
+    def test_table_built_with_tau_inverse_fails_group_axioms(self, capsys, monkeypatch):
+        # tau^-1 has the same norm as tau, so power-norm-law cannot see it;
+        # the relations on the standard generators name the moved basis
+        # vector of the first candidate.
+        monkeypatch.setattr(classify, "build_group",
+                            lambda t: build_group(replace(t, tau=mat_inverse(t.tau))))
+        code, out, _ = run(capsys, "verify", "--p", "3")
+        assert code == 1
+        assert "[FAIL] group-axioms — 2x2-r1-v0: a e2 a^-1 != tau(e2)" in out.splitlines()
+
+    def test_verification_shares_no_table_builder(self):
+        # The certificates must not share the builder's bugs.
+        for name in ("_plus_ranks", "_linear_ranks", "_translates", "_rotated", "build_group"):
+            assert not hasattr(verification, name), name
+
     @pytest.mark.parametrize("breakage", ["shift-keeps-v", "power-keeps-v", "conjugate-keeps-tau"])
     def test_broken_transform_fails_only_transform_equivalence(self, capsys, monkeypatch,
                                                                breakage):
@@ -367,6 +382,13 @@ class TestVerifyCommand:
         result = verification._check_transforms(*p5_transform_inputs)
         assert not result.ok
         assert f" {name}: " in result.detail
+
+    def test_failed_trial_names_the_relation(self, monkeypatch, p5_transform_inputs):
+        name, breaker = TRANSFORM_BREAKERS["shift-keeps-v"]
+        monkeypatch.setattr(verification, name, breaker(getattr(verification, name)))
+        result = verification._check_transforms(*p5_transform_inputs)
+        assert result.detail == (
+            "2x2-r1-v0 shift_generator: its map is not an isomorphism (a^5 != v)")
 
     def test_transforms_run_no_isomorphism_search(self, capsys, monkeypatch):
         # 112 calls: 110 from classify_p4's same_class and 2 from the pair
@@ -398,7 +420,7 @@ class TestVerifyCommand:
         assert len(calls) == 15
 
     def test_transform_trials_build_no_table(self, monkeypatch):
-        # Each trial reads the columns it checks from the floor form.
+        # Each trial checks its images on the relations in the candidate's group.
         cfg = ClassifyConfig.for_prime(3)
         cands = candidate_types(cfg)
         for c in cands:

@@ -10,7 +10,6 @@ from p4groups.extension import (
     ExtElement,
     ExtensionType,
     _linear_ranks,
-    _product_column,
     build_group,
     conjugate_type,
     multiply,
@@ -21,7 +20,7 @@ from p4groups.extension import (
 from p4groups.classify import ClassifyConfig, candidate_types, tau_catalog
 from p4groups.groups import abelian_group, abelian_invariants, isomorphic, subgroup_generated
 from p4groups.residues import MixedModulusMatrix, ModulusProfile, mat_apply, mat_pow
-from p4groups.verification import _kernel_automorphisms, _transform_trials
+from p4groups.verification import _kernel_automorphisms, _relations_problem, _transform_trials
 
 
 P3_CANDIDATES = candidate_types(ClassifyConfig.for_prime(3))
@@ -306,10 +305,32 @@ class TestLinearRanks:
 P5_FIRST_CANDIDATES = candidate_types(ClassifyConfig.for_prime(5))[:3]
 
 
+def standard_images(t):
+    """rank(e_1), ..., rank(e_k), |N|: the generators of ``build_group(t)``."""
+    profile = t.profile
+    return [profile.rank_of([int(j == k) for j in range(profile.rank)])
+            for k in range(profile.rank)] + [profile.order]
+
+
+def word_map(t, images, g):
+    """The index map (y, c^j) -> word(y) * img(c)^j from the group of t onto
+    g, with word(y) the product of the kernel images to the powers y_k."""
+    *kernel, c = images
+    img = []
+    for j in range(t.n):
+        cj = g.power(c, j)
+        for y in t.profile.elements():
+            w = g.identity_index
+            for b, k in zip(kernel, y.coords):
+                w = g.mul(w, g.power(b, k))
+            img.append(g.mul(w, cj))
+    return img
+
+
 class TestTransformTrialMaps:
-    """Each trial of verify's transform-equivalence check carries the map the
-    transform defines; here it is checked on every product, not only on
-    generators."""
+    """Each trial of verify's transform-equivalence check carries the images
+    of the transformed type's generators; here the map they define is checked
+    on every product, not only on the defining relations."""
 
     @pytest.mark.parametrize("cand, count", [
         pytest.param(c, k, id=f"p{c.ext.profile.p}-{c.label}")
@@ -318,8 +339,10 @@ class TestTransformTrialMaps:
     def test_map_is_an_isomorphism_on_every_product(self, cand, count):
         base = build_group(cand.ext)
         size = base.size
-        for op_name, op, img in _transform_trials(cand.ext, count):
-            new = build_group(op())
+        for op_name, op, images in _transform_trials(cand.ext, base, count):
+            t = op()
+            new = build_group(t)
+            img = word_map(t, images, base)
             assert sorted(img) == list(range(size)), op_name
             for x in range(size):
                 ix = img[x]
@@ -330,38 +353,83 @@ class TestTransformTrialMaps:
     def test_no_trial_is_the_identity_above_p3(self, p):
         # Each of the first three candidates gets one parameter of each kind.
         for cand in candidate_types(ClassifyConfig.for_prime(p))[:3]:
-            trials = _transform_trials(cand.ext, 1)
+            trials = _transform_trials(cand.ext, cand.group, 1)
             assert [name for name, _, _ in trials] == [
                 "shift_generator", "power_substitute", "conjugate_type", "conjugate_type"]
-            assert all(img != list(range(len(img))) for _, _, img in trials), cand.label
+            standard = standard_images(cand.ext)
+            assert all(images != standard for _, _, images in trials), cand.label
 
     def test_trial_counts_at_p3(self):
         # Mixed kernel: five shifts, exponents and scalars, four pool matrices.
         # Elementary kernel: 2I is its one scalar other than I.
-        counts = {c.profile.shape: len(_transform_trials(c, 5))
-                  for c in (cand.ext for cand in P3_CANDIDATES)}
+        counts = {c.ext.profile.shape: len(_transform_trials(c.ext, c.group, 5))
+                  for c in P3_CANDIDATES}
         assert counts == {"p2xp": 19, "pxpxp": 15}
         for shape in ("p2xp", "pxpxp"):
             profile = ModulusProfile(3, shape)
             assert MixedModulusMatrix.identity(profile) not in _kernel_automorphisms(profile)
 
 
-class TestProductColumn:
-    """``_product_column`` reads one column of ``build_group(t)``'s table
-    from the floor form, as the transform trials do."""
+P3_BY_LABEL = {c.label: c for c in P3_CANDIDATES}
 
-    @pytest.mark.parametrize("cand", P3_CANDIDATES, ids=lambda c: c.label)
-    def test_every_column_at_p3(self, cand):
-        # The candidate and every type its transform trials yield.
-        for t in [cand.ext] + [op() for _, op, _ in _transform_trials(cand.ext, 5)]:
-            g = build_group(t)
-            n = g.size
-            for c in range(n):
-                assert _product_column(t, c) == g._table[c::n], (t, c)
 
-    @pytest.mark.parametrize("cand", P5_FIRST_CANDIDATES, ids=lambda c: c.label)
-    def test_generator_columns_at_p5(self, cand):
-        g = cand.group
-        n = g.size
-        for c in g.generating_sequence:
-            assert _product_column(cand.ext, c) == g._table[c::n], c
+class TestRelationsProblem:
+    """``_relations_problem`` names the first defining relation that the
+    images fail, on the mixed kernel C9 x C3 and the elementary C3^3."""
+
+    @pytest.mark.parametrize("label", ["2x2-r1-v-e1", "3x3-J2-v-e3"])
+    def test_standard_images_pass(self, label):
+        c = P3_BY_LABEL[label]
+        assert _relations_problem(c.ext, standard_images(c.ext), c.group) == ""
+
+    @pytest.mark.parametrize("label", ["2x2-r1-v-e1", "3x3-J2-v-e3"])
+    def test_kernel_image_of_wrong_order(self, label):
+        # e_1 goes to a, whose m_1-th power is not e: a^3 = v = e_1 has
+        # order 9 on C9 x C3, and a^3 = v = e_3 != e on C3^3.
+        c = P3_BY_LABEL[label]
+        images = standard_images(c.ext)
+        m = c.ext.profile.moduli[0]
+        images[0] = images[-1]
+        assert c.group.power(images[-1], m) != c.group.identity_index
+        assert _relations_problem(c.ext, images, c.group) == f"e1^{m} != e"
+
+    @pytest.mark.parametrize("label, slot", [("2x2-r3-v0", 1), ("3x3-J2-v0", 0)])
+    def test_kernel_images_that_do_not_commute(self, label, slot):
+        # a has order 3 when v = 0, and tau moves the other basis vector
+        # (e_1 on the mixed kernel, e_2 on the elementary one), so a does not
+        # commute with its image.
+        c = P3_BY_LABEL[label]
+        images = standard_images(c.ext)
+        images[slot] = images[-1]
+        assert _relations_problem(c.ext, images, c.group) == "e1 e2 != e2 e1"
+
+    @pytest.mark.parametrize("label", ["2x2-r1-v-e1", "3x3-J2-v-e3"])
+    def test_wrong_conjugation(self, label):
+        # a^2 acts by tau^2, which differs from tau on e_2, the first basis
+        # vector that tau moves.
+        c = P3_BY_LABEL[label]
+        images = standard_images(c.ext)
+        images[-1] = c.group.power(images[-1], 2)
+        assert _relations_problem(c.ext, images, c.group) == "a e2 a^-1 != tau(e2)"
+
+    @pytest.mark.parametrize("label", ["2x2-r1-v-e1", "3x3-J2-v-e3"])
+    def test_wrong_power_of_a(self, label):
+        # 2v is fixed by tau, so the type is valid, but a^3 = v in the table.
+        c = P3_BY_LABEL[label]
+        t = replace(c.ext, v=c.ext.v.scale(2))
+        assert _relations_problem(t, standard_images(t), c.group) == "a^3 != v"
+
+    @pytest.mark.parametrize("label", ["2x2-r1-v-e1", "3x3-J2-v-e3"])
+    def test_kernel_only_images_do_not_generate(self, label):
+        # With tau = I and v = 0 the kernel and a -> e satisfy every relation.
+        c = P3_BY_LABEL[label]
+        profile = c.ext.profile
+        t = ExtensionType(profile, 3, MixedModulusMatrix.identity(profile), profile.zero())
+        images = standard_images(t)[:-1] + [c.group.identity_index]
+        assert _relations_problem(t, images, c.group) == "the images do not generate the group"
+
+    def test_group_order_mismatch(self):
+        # n = 9 keeps every relation of a v = 0 type on its order-81 table.
+        c = P3_BY_LABEL["2x2-r3-v0"]
+        t = replace(c.ext, n=9)
+        assert _relations_problem(t, standard_images(t), c.group) == "order 243 != 81"
