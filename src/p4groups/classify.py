@@ -4,13 +4,14 @@ The pipeline enumerates candidate extension types (a fixed catalog of seven
 kernel automorphisms, each with its computed list of candidate fixed elements
 v), each of which owns its group, built on first use.  Candidates are
 deduplicated by fingerprint, then twist count, then the isomorphism oracle.
-The five abelian groups are appended from their invariant-factor
-descriptions.  The expected outcome, asserted at the end of every run, is 10
-nonabelian classes and 5 abelian ones.
+The five abelian groups are appended from their invariant-factor chains,
+with closed-form fingerprints and no tables.  The expected outcome, asserted
+at the end of every run, is 10 nonabelian classes and 5 abelian ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
@@ -232,8 +233,9 @@ def census_closed_form(t: ExtensionType) -> int:
     return base
 
 
-def abelian_catalog(cfg: ClassifyConfig) -> list[tuple[str, tuple[int, ...], FiniteGroup]]:
-    """The five abelian groups of order p^4 as (label, invariant chain, group)."""
+def abelian_catalog(cfg: ClassifyConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """The five abelian groups of order p^4 as (label, invariant chain), one
+    per partition of 4."""
     p = cfg.p
     chains = [
         (p ** 4,),
@@ -242,16 +244,37 @@ def abelian_catalog(cfg: ClassifyConfig) -> list[tuple[str, tuple[int, ...], Fin
         (p, p, p * p),
         (p, p, p, p),
     ]
-    out = []
-    for chain in chains:
-        label = "abelian-" + "x".join(f"C{d}" for d in reversed(chain))
-        out.append((label, chain, abelian_group(chain)))
-    return out
+    return [("abelian-" + "x".join(f"C{d}" for d in reversed(chain)), chain) for chain in chains]
+
+
+def abelian_fingerprint(chain: Sequence[int]) -> Fingerprint:
+    """The fingerprint of the abelian p-group with invariant chain
+    d1 | ... | dk, in closed form: the group is its own center and its own
+    abelianization, its p-torsion is p^k (p elements in each cyclic
+    factor), G' is trivial, the exponent is dk, and both flags hold because
+    every quotient of an abelian group is abelian."""
+    p = least_prime_factor(chain[0])
+    return Fingerprint(
+        group_order=math.prod(chain),
+        center_invariants=tuple(chain),
+        census_le_p=p ** len(chain),
+        derived_order=1,
+        abelianization_invariants=tuple(chain),
+        exponent=chain[-1],
+        power_quotient_abelian=True,
+        low_order_commute=True,
+    )
 
 
 @dataclass(frozen=True)
 class GroupClass:
-    """One isomorphism class in a classification result."""
+    """One isomorphism class in a classification result.
+
+    ``source`` is the representative candidate of a nonabelian class, or the
+    invariant chain of an abelian one.  ``group`` is the candidate's table,
+    or ``abelian_group(chain)`` built when first read; ``classify_p4`` reads
+    no abelian class's group.
+    """
 
     label: str
     kind: str  # "nonabelian" | "abelian"
@@ -259,7 +282,13 @@ class GroupClass:
     v: Optional[AbelianElement]
     fingerprint: Fingerprint
     merged_labels: tuple[str, ...]
-    group: FiniteGroup = field(repr=False, compare=False)
+    source: CandidateType | tuple[int, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def group(self) -> FiniteGroup:
+        if isinstance(self.source, CandidateType):
+            return self.source.group
+        return abelian_group(self.source)
 
     def to_json_dict(self) -> dict:
         return {
@@ -304,9 +333,13 @@ def classify_p4(cfg: ClassifyConfig, candidates: Sequence[CandidateType]) -> Cla
 
     Candidates are folded in label order; a candidate joins the first class
     whose fingerprint matches and whose representative the oracle certifies
-    isomorphic, otherwise it opens a new class.  The run then asserts the
-    expected merges and counts and certifies all final representatives
-    pairwise non-isomorphic.
+    isomorphic, otherwise it opens a new class.  The five abelian classes
+    take closed-form fingerprints from their chains, so the run builds one
+    table per candidate and no other.  It then asserts the expected merges
+    and counts and certifies all final classes pairwise non-isomorphic: two
+    nonabelian classes by the oracle, an abelian class and a nonabelian one
+    by ``derived_order``, and two abelian classes by their chains, which
+    differ (the fundamental theorem of finite abelian groups).
     """
     cands = sorted(candidates, key=lambda c: c.label)
     verdicts: dict[tuple[str, str], bool] = {}
@@ -360,29 +393,37 @@ def classify_p4(cfg: ClassifyConfig, candidates: Sequence[CandidateType]) -> Cla
                 v=rep.ext.v,
                 fingerprint=fingerprint(rep.group),
                 merged_labels=tuple(c.label for c in rest),
-                group=rep.group,
+                source=rep,
             )
         )
 
     abelian = abelian_catalog(cfg)
-    for label, _, group in abelian:
+    for label, chain in abelian:
         classes.append(
             GroupClass(
                 label=label,
                 kind="abelian",
                 tau=None,
                 v=None,
-                fingerprint=fingerprint(group),
+                fingerprint=abelian_fingerprint(chain),
                 merged_labels=(),
-                group=group,
+                source=chain,
             )
         )
     if len(abelian) != 5:
         raise ClassificationError(f"expected 5 abelian groups, found {len(abelian)}")
 
+    def apart(a: GroupClass, b: GroupClass) -> bool:
+        if a.kind == b.kind == "nonabelian":
+            return not same_class(a, b)
+        # An abelian class has derived order 1 and a nonabelian one more;
+        # two abelian classes are apart when their invariant chains differ.
+        certificate = "derived_order" if a.kind != b.kind else "abelianization_invariants"
+        return getattr(a.fingerprint, certificate) != getattr(b.fingerprint, certificate)
+
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            if same_class(classes[i], classes[j]):
+            if not apart(classes[i], classes[j]):
                 raise ClassificationError(
                     f"classes {classes[i].label} and {classes[j].label} are isomorphic"
                 )

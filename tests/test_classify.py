@@ -7,6 +7,7 @@ from p4groups.classify import (
     ClassificationError,
     ClassifyConfig,
     abelian_catalog,
+    abelian_fingerprint,
     candidate_types,
     census_closed_form,
     classify_p4,
@@ -21,8 +22,9 @@ from p4groups.classify import (
     verify_prop_abelian_subgroup,
     verify_prop_no_cyclic,
 )
+from p4groups import classify, groups
 from p4groups.extension import ExtensionType, build_group
-from p4groups.groups import abelian_group, isomorphic, order_census
+from p4groups.groups import abelian_group, fingerprint, isomorphic, order_census
 from p4groups.residues import MixedModulusMatrix, ModulusProfile, mat_pow
 from test_acceptance import (
     EXPECTED_TABLE1_P3,
@@ -187,19 +189,30 @@ class TestCensusClosedForm:
 
 class TestAbelianCatalog:
     def test_invariant_chains(self, cfg3):
-        chains = [chain for _, chain, _ in abelian_catalog(cfg3)]
+        chains = [chain for _, chain in abelian_catalog(cfg3)]
         assert chains == [(81,), (3, 27), (9, 9), (3, 3, 9), (3, 3, 3, 3)]
 
     def test_cyclic_census(self, cfg3):
-        group = abelian_catalog(cfg3)[0][2]
+        group = abelian_group(abelian_catalog(cfg3)[0][1])
         assert order_census(group)[81] == 54  # primitive elements of C_81
 
     def test_pairwise_non_isomorphic(self, cfg3):
-        groups = [g for _, _, g in abelian_catalog(cfg3)]
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                ok, _ = isomorphic(groups[i], groups[j])
+        tables = [abelian_group(chain) for _, chain in abelian_catalog(cfg3)]
+        for i in range(len(tables)):
+            for j in range(i + 1, len(tables)):
+                ok, _ = isomorphic(tables[i], tables[j])
                 assert not ok
+
+    @pytest.mark.parametrize("p", [3, 5, pytest.param(7, marks=pytest.mark.slow)])
+    def test_closed_form_fingerprints_match_the_tables(self, p):
+        for label, chain in abelian_catalog(ClassifyConfig.for_prime(p)):
+            assert abelian_fingerprint(chain) == fingerprint(abelian_group(chain)), label
+
+    def test_abelian_class_builds_its_table_when_read(self, cfg3, cands3):
+        for cls in classify_p4(cfg3, cands3).classes[10:]:
+            assert cls.kind == "abelian"
+            assert "group" not in vars(cls)
+            assert fingerprint(cls.group) == cls.fingerprint
 
 
 class TestClassify:
@@ -233,6 +246,34 @@ class TestClassify:
     def test_classes_share_the_candidates_groups(self, cands3, result3):
         for cls in result3.nonabelian_classes:
             assert any(cls.group is c.group for c in cands3)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_one_table_per_candidate_and_no_other(self, p, monkeypatch):
+        cfg = ClassifyConfig.for_prime(p)
+        cands = candidate_types(cfg)
+        calls = {"FiniteGroup": 0, "build_group": 0, "abelian_group": 0, "quotient": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(classify, "build_group")
+        counting(classify, "abelian_group")
+        counting(groups, "abelian_group")
+        counting(groups, "quotient")
+        real_init = groups.FiniteGroup.__init__
+
+        def init(self, table, size):
+            calls["FiniteGroup"] += 1
+            real_init(self, table, size)
+        monkeypatch.setattr(groups.FiniteGroup, "__init__", init)
+        classify_p4(cfg, cands)
+        n = len(cands)
+        assert calls == {"FiniteGroup": n, "build_group": n, "abelian_group": 0, "quotient": 0}
 
     def test_row8_absent_only_above_p3(self, result3):
         assert "2x2-r5-v-pe1" in [c.label for c in result3.classes]

@@ -27,8 +27,10 @@ from p4groups.groups import (
     FiniteGroup,
     Subgroup,
     _first_nonassociative,
+    _generator_commutators,
     _respects_generators,
     _twist_count,
+    abelian_invariants,
     center,
     cyclic_group,
     derived_subgroup,
@@ -43,7 +45,9 @@ from test_groups import _check_witness
 
 CFG3 = ClassifyConfig.for_prime(3)
 CANDIDATES3 = [(c.label, build_group(c.ext)) for c in candidate_types(CFG3)]
-GROUPS3 = CANDIDATES3 + [(label, g) for label, _, g in abelian_catalog(CFG3)]
+GROUPS3 = CANDIDATES3 + [
+    (label, groups_module.abelian_group(chain)) for label, chain in abelian_catalog(CFG3)
+]
 
 
 @pytest.fixture(params=GROUPS3, ids=[label for label, _ in GROUPS3])
@@ -208,6 +212,61 @@ def test_power_quotient_abelian(group):
 
 def test_twist_count(group):
     assert _twist_count(group) == brute_twist_count(group)
+
+
+def test_twist_count_weights_orbits_of_classes_under_the_center():
+    # H = G x C3 for G = 2x2-r4-v0: (e, 1) is central and moves the class of
+    # (y, c) to that of (y, c + 1), so every noncentral class lies in an
+    # orbit of at least three, and [[x, y], y] and (x^3)^k ignore the C3
+    # coordinates: T(H) = 9 T(G), counted from one class per orbit.
+    g = dict(CANDIDATES3)["2x2-r4-v0"]
+    n = g.size
+    pairs = list(product(range(n), range(3)))  # (a, b) has index 3a + b
+    h = FiniteGroup([g.mul(a, c) * 3 + (b + d) % 3 for a, b in pairs for c, d in pairs], 3 * n)
+    assert _twist_count(h) == brute_twist_count(h) == 9 * 1620
+
+
+# The nonzero twist counts of the catalog candidates; every other candidate
+# has T = 0.  The slow tier pins the p = 7 pair (test_residue_twist_pair_at_p7).
+TWIST_COUNTS = {
+    3: {"2x2-r4-v0": 1620, "2x2-r5-v-pe1": 972, "3x3-J3-v0": 648},
+    5: {"2x2-r4-v0": 130000, "2x2-r5-v0": 80000, "3x3-J3-v-e1": 100000},
+}
+
+
+@pytest.mark.parametrize("p", sorted(TWIST_COUNTS))
+def test_twist_counts_by_label(p):
+    counts = {c.label: c.group.twist_count for c in candidate_types(ClassifyConfig.for_prime(p))}
+    assert {label: t for label, t in counts.items() if t} == TWIST_COUNTS[p]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_counted_abelianization_matches_the_quotient(p):
+    cfg = ClassifyConfig.for_prime(p)
+    tables = [c.group for c in candidate_types(cfg)]
+    tables += [groups_module.abelian_group(chain) for _, chain in abelian_catalog(cfg)]
+    for g in tables:
+        want = abelian_invariants(quotient(g, derived_subgroup(g)))
+        assert fingerprint(g).abelianization_invariants == want
+
+
+def test_abelianization_needs_every_generator_commutator_in_the_derived_subgroup():
+    g = build_group(candidate_types(CFG3)[0].ext)
+    g.derived_elements = frozenset({g.identity_index})  # a trivial "G'"
+    with pytest.raises(ValueError, match="commutator of the generators lies outside"):
+        fingerprint(g)
+
+
+def test_abelianization_needs_a_normal_derived_subgroup():
+    # In a group of class 3 the generator commutators generate a proper
+    # subgroup of G', which is not normal: G' is their normal closure.
+    cands = {c.label: c for c in candidate_types(CFG3)}
+    g = build_group(cands["2x2-r4-v0"].ext)
+    commutators = frozenset(g.closure(_generator_commutators(g)))
+    assert len(commutators) < len(g.derived_elements)
+    g.derived_elements = commutators
+    with pytest.raises(ValueError, match="not normal"):
+        fingerprint(g)
 
 
 def test_twist_count_separates_the_residue_twist_pair_at_p5(twist_pair5):

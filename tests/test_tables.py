@@ -77,8 +77,8 @@ def catalog_hashes(p: int) -> dict[str, str]:
     """Hashes of the candidate tables and the abelian catalog at p."""
     out = {c.label: table_sha256(build_group(c.ext))
            for c in candidate_types(ClassifyConfig.for_prime(p))}
-    for label, _, g in abelian_catalog(ClassifyConfig.for_prime(p)):
-        out[label] = table_sha256(g)
+    for label, chain in abelian_catalog(ClassifyConfig.for_prime(p)):
+        out[label] = table_sha256(abelian_group(chain))
     return out
 
 
@@ -155,7 +155,7 @@ P3 = ClassifyConfig.for_prime(3)
 P5 = ClassifyConfig.for_prime(5)
 ORDER_GROUPS = (
     [pytest.param(c.ext, id=c.label) for c in candidate_types(P3)]
-    + [pytest.param(chain, id=label) for label, chain, _ in abelian_catalog(P3)]
+    + [pytest.param(chain, id=label) for label, chain in abelian_catalog(P3)]
     + [pytest.param(candidate_types(P5)[-1].ext, id="p5-" + candidate_types(P5)[-1].label)]
 )
 
