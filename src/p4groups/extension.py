@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import FiniteGroup, _gather, _rotated, _table_typecode, _translates
+from .groups import FiniteGroup, _gather, _rotated, _table_of_translates, _table_typecode
 from .residues import (
     AbelianElement,
     MixedModulusMatrix,
@@ -151,8 +151,9 @@ def build_group(t: ExtensionType) -> FiniteGroup:
     So the head row is built from the floor form, one list of |kernel|
     entries per coset a^j, and row (x, a^i) is the head row read through
     y -> y + tau^-i(x) inside each block of |kernel| columns: translate
-    x'' of ``_translates`` goes to row tau^i(x'').  No entry is computed on
-    its own outside the head rows.
+    x'' of ``_table_of_translates`` goes to row tau^i(x''), and only the
+    head rows are range-checked.  No entry is computed on its own outside
+    the head rows.
     """
     profile = t.profile
     n = t.n
@@ -163,7 +164,7 @@ def build_group(t: ExtensionType) -> FiniteGroup:
     plus_v = _plus_ranks(profile, t.v.coords)
 
     code = _table_typecode(size)
-    table = array(code, [0]) * (size * size)
+    cosets = []
     for i in range(n):
         # Row (0, a^i), column (y, a^j): (tau^i(y) + floor((i+j)/n)*v, a^((i+j) mod n)).
         tau_v = _gather(plus_v, tau_i)
@@ -171,11 +172,9 @@ def build_group(t: ExtensionType) -> FiniteGroup:
         for j in range(n):
             base = (i + j) % n * nsize
             head.extend([base + y for y in (tau_i if i + j < n else tau_v)])
-        coset = i * nsize
-        for x, row in zip(tau_i, _translates(head, profile.moduli)):
-            table[(coset + x) * size : (coset + x + 1) * size] = row
+        cosets.append((head, [i * nsize + x for x in tau_i]))
         tau_i = _gather(tau, tau_i)
-    return FiniteGroup(table, size)
+    return _table_of_translates(size, profile.moduli, cosets)
 
 
 def _plus_ranks(profile: ModulusProfile, x: tuple[int, ...]) -> array:

@@ -4,15 +4,14 @@ Groups small enough for this project (order <= 7^4) are stored as full Cayley
 tables over element indices 0..size-1, in an ``array`` of two bytes per entry
 (typecode "H") when the order is at most 2^15, which covers every p <= 13, and
 of four bytes ("i") above that; ``_table_typecode`` is the one rule that every
-table producer follows.  Tables are built from whole-row slice
-copies, not one Python step per entry: a row of a direct sum of cyclic groups,
-and a row of a cyclic extension (see ``extension.build_group``), is a
-translate of one head row inside each block of columns, and ``_translates``
-makes every translate by chunk rotations.  The invariants that can be read
-off generators are: commutativity, conjugacy classes (orbits under
-conjugation by the generators), normality and the derived subgroup.  Values
-are immutable after construction and all queries are pure, so they are safe
-to share across threads.
+table producer follows.  A row of a direct sum of cyclic groups, and a row of
+a cyclic extension (see ``extension.build_group``), is a translate of one head
+row inside each block of columns: ``_table_of_translates`` writes every
+translate into the table by slice copies and range-checks only the heads.
+The invariants that can be read off generators are: commutativity, conjugacy
+classes (orbits under conjugation by the generators), normality and the
+derived subgroup.  Values are immutable after construction and all queries
+are pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, product
 from operator import add, eq, itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 
 def _gather(seq: Sequence[int], idx: Sequence[int]) -> tuple[int, ...]:
@@ -212,8 +211,8 @@ class FiniteGroup:
         # The entries are read as unsigned, so a negative "i" entry reads as
         # at least 2^31 and fails the same bound as an entry >= size.  The
         # check compares the 16- or 32-bit lanes of one big integer per chunk
-        # of 2^14 entries against size - 1 (see _entries_below): C-level work
-        # with no boxed int per entry, and no copy of the whole table.
+        # of 2^14 entries against size - 1 (see _entries_below), in C.  Only
+        # _table_of_translates skips it: it checks its head rows instead.
         if not _entries_below(flat, size):
             raise ValueError(_OUT_OF_RANGE)
         self.size = size
@@ -413,50 +412,57 @@ class FiniteGroup:
             yield tuple(t[i * n : (i + 1) * n])
 
 
-def _translates(row: array, moduli: Sequence[int]) -> Iterator[array]:
-    """For every x of C_m1 x ... x C_mk, in rank order, row read through the
-    translation y -> y + x in every block of m1*...*mk entries.
+def _table_of_translates(size: int, moduli: Sequence[int], cosets: Iterable) -> FiniteGroup:
+    """The group on size elements whose rows are translates of head rows.
 
-    Translating by x translates by each coordinate of x in turn, and a
-    translation by t in a coordinate of stride s and modulus m rotates every
-    chunk of m*s entries left by t*s: two slice copies per chunk.  The
-    coordinates are taken last first, so the small chunks of the fast
-    coordinates are rotated in few rows; each coordinate then costs about
-    2*len(row) slice copies over all the rows it makes.  The rows of the
-    first coordinate are yielded as they are made.  Callers must not modify
-    a yielded row: translates by 0 in some coordinate share storage.
+    For each (head array, row places) of cosets and every x of C_m1 x ... x
+    C_mk in rank order, the next row place gets head read through y -> y + x
+    in every block of K = m1*...*mk entries.  The later coordinates, widest
+    chunks first, are translated by ``_rotated`` on a copy of head with each
+    block doubled; a shift by t*s in the first coordinate, of stride s, is
+    then the slice [t*s, t*s + K) of every doubled block, copied straight
+    into the table.  Every entry written is a head entry and the rest stay
+    0, so checking the heads against size checks the whole table exactly.
     """
+    code = _table_typecode(size)
+    table = array(code, [0]) * (size * size)
     first, *rest = moduli or (1,)
-    rows = [row]
-    stride = 1
-    for m in reversed(rest):
-        rows = [_rotated(r, t * stride, m * stride) for t in range(m) for r in rows]
-        stride *= m
-    for t in range(first):
-        for r in rows:
-            yield _rotated(r, t * stride, first * stride)
+    kernel = math.prod(moduli)
+    with memoryview(table) as out:
+        for head, places in cosets:
+            if not _entries_below(head, size):
+                raise ValueError(_OUT_OF_RANGE)
+            rows = [array(code)]
+            for lo in range(0, size, kernel):
+                rows[0] += head[lo : lo + kernel] * 2
+            stride = kernel // first
+            for m in rest:
+                stride //= m
+                rows = [_rotated(r, t * stride, m * stride) for r in rows for t in range(m)]
+            shifts = range(0, kernel, kernel // first)
+            for place, (shift, src) in zip(places, product(shifts, map(memoryview, rows))):
+                for lo in range(0, size, kernel):
+                    at = place * size + lo
+                    out[at : at + kernel] = src[2 * lo + shift : 2 * lo + shift + kernel]
+    g = FiniteGroup.__new__(FiniteGroup)
+    g.size, g._table = size, table
+    return g
 
 
 def _rotated(row: array, shift: int, width: int) -> array:
-    """row with every chunk of width entries rotated left by shift."""
+    """row with every chunk of width entries rotated left by shift: by width
+    strided copies, or by two slice copies per chunk if those are fewer."""
     if not shift:
         return row
-    out = array(row.typecode)
-    for lo in range(0, len(row), width):
-        out += row[lo + shift : lo + width]
-        out += row[lo : lo + shift]
+    out = row[:]
+    if width * width < 2 * len(row):
+        for k in range(width):
+            out[k::width] = row[(k + shift) % width :: width]
+    else:
+        for lo in range(0, len(row), width):
+            out[lo : lo + width - shift] = row[lo + shift : lo + width]
+            out[lo + width - shift : lo + width] = row[lo : lo + shift]
     return out
-
-
-def _direct_sum_table(moduli: Sequence[int]) -> array:
-    """Flat Cayley table of C_m1 x ... x C_mk on mixed-radix indices (the
-    last coordinate fastest): row x is the identity row read through
-    y -> y + x, one translate of ``_translates`` per row."""
-    size = math.prod(moduli)
-    table = array(_table_typecode(size))
-    for row in _translates(array(table.typecode, range(size)), moduli):
-        table += row
-    return table
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -468,7 +474,8 @@ def abelian_group(moduli: Sequence[int]) -> FiniteGroup:
 
     Element (c1, ..., ck) has the mixed-radix index of its coordinates, the
     last coordinate fastest (``itertools.product`` order)."""
-    return FiniteGroup(_direct_sum_table(moduli), math.prod(moduli))
+    size = math.prod(moduli)
+    return _table_of_translates(size, moduli, [(array(_table_typecode(size), range(size)), range(size))])
 
 
 @dataclass(frozen=True)
@@ -522,17 +529,21 @@ def verify_group_axioms(g: FiniteGroup) -> AxiomReport:
     scanned, so that the report names the lexicographically first failing
     triple.  ``element_orders``, which orders the generators, raises
     ValueError only on a table that is not a group; that also goes to the
-    full scan.
+    full scan.  Identity and inverses take one step each (row and column e
+    against 0..n-1, and ``inverses``); a failure is then named by a scan.
     """
     n = g.size
     t = g._table
     e = g.identity_index
-    for i in range(n):
-        if t[e * n + i] != i or t[i * n + e] != i:
-            return AxiomReport(False, ("identity", i))
-    for i in range(n):
-        if _inverse_of(t, n, e, i) < 0:
-            return AxiomReport(False, ("inverse", i))
+    cols = array(t.typecode, range(n))
+    if t[e * n : (e + 1) * n] != cols or t[e::n] != cols:
+        i = next(i for i in range(n) if t[e * n + i] != i or t[i * n + e] != i)
+        return AxiomReport(False, ("identity", i))
+    try:
+        g.inverses
+    except ValueError:
+        i = next(i for i in range(n) if _inverse_of(t, n, e, i) < 0)
+        return AxiomReport(False, ("inverse", i))
     try:
         gens = g.generating_sequence
     except ValueError:

@@ -22,7 +22,7 @@ from p4groups.classify import (
     verify_prop_abelian_subgroup,
     verify_prop_no_cyclic,
 )
-from p4groups import classify, groups
+from p4groups import classify, extension, groups
 from p4groups.extension import ExtensionType, build_group
 from p4groups.groups import abelian_group, fingerprint, isomorphic, order_census
 from p4groups.residues import MixedModulusMatrix, ModulusProfile, mat_pow
@@ -271,6 +271,14 @@ class TestClassify:
             calls["FiniteGroup"] += 1
             real_init(self, table, size)
         monkeypatch.setattr(groups.FiniteGroup, "__init__", init)
+        # The table producer makes its groups without the constructor.
+        real_producer = groups._table_of_translates
+
+        def producer(*args):
+            calls["FiniteGroup"] += 1
+            return real_producer(*args)
+        monkeypatch.setattr(groups, "_table_of_translates", producer)
+        monkeypatch.setattr(extension, "_table_of_translates", producer)
         classify_p4(cfg, cands)
         n = len(cands)
         assert calls == {"FiniteGroup": n, "build_group": n, "abelian_group": 0, "quotient": 0}

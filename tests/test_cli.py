@@ -359,7 +359,8 @@ class TestVerifyCommand:
 
     def test_verification_shares_no_table_builder(self):
         # The certificates must not share the builder's bugs.
-        for name in ("_plus_ranks", "_linear_ranks", "_translates", "_rotated", "build_group"):
+        for name in ("_plus_ranks", "_linear_ranks", "_table_of_translates", "_rotated",
+                     "build_group"):
             assert not hasattr(verification, name), name
 
     @pytest.mark.parametrize("breakage", ["shift-keeps-v", "power-keeps-v", "conjugate-keeps-tau"])

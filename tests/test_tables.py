@@ -5,14 +5,14 @@ earlier commit (``golden/table-sha256.json``), so a change to how tables are
 built cannot change a single entry.  The entries are hashed as 32-bit words
 whatever width the table stores them in, and a separate test pins that every
 table producer uses the width of ``_table_typecode``.  The p = 7 hashes are
-checked in the slow tier (``-m slow``).  The translation helper, the
-direct-sum table and the element orders are checked against direct
-definitions.
+checked in the slow tier (``-m slow``).  The table producer, the direct-sum
+table and the element orders are checked against direct definitions.
 """
 
 import hashlib
 import json
 import math
+import random
 import sys
 from array import array
 from itertools import product
@@ -25,9 +25,9 @@ from p4groups.extension import ExtensionType, build_group
 from p4groups import extension, groups
 from p4groups.groups import (
     FiniteGroup,
-    _direct_sum_table,
+    _entries_below,
+    _table_of_translates,
     _table_typecode,
-    _translates,
     abelian_group,
     center,
     isomorphic,
@@ -116,35 +116,59 @@ def test_catalog_tables_match_golden_p7():
     assert catalog_hashes(7) == want
 
 
-def sum_by_coordinates(moduli, x, y):
-    """Rank of x + y in C_m1 x ... x C_mk, for ranks x and y."""
+def coordinate_sums(moduli):
+    """plus[x][y] = rank of x + y in C_m1 x ... x C_mk, for ranks x and y."""
     elements = list(product(*(range(m) for m in moduli)))
-    s = tuple((a + b) % m for a, b, m in zip(elements[x], elements[y], moduli))
-    return elements.index(s)
+    rank = {c: r for r, c in enumerate(elements)}
+    return [[rank[tuple((a + b) % m for a, b, m in zip(cx, cy, moduli))] for cy in elements]
+            for cx in elements]
 
 
 @pytest.mark.parametrize("moduli", [(1,), (7,), (2, 3, 4), (9, 3), (3, 3, 3), (5, 5, 5)])
 @pytest.mark.parametrize("blocks", [1, 3])
 def test_translates_match_coordinate_addition(moduli, blocks):
-    size = math.prod(moduli)
-    # Distinct entries, so that a misplaced column cannot go unseen.
-    row = array("i", [1000 * b + 7 * y + 1 for b in range(blocks) for y in range(size)])
-    translates = list(_translates(row, moduli))
-    assert len(translates) == size
-    for x, got in enumerate(translates):
-        want = [row[b * size + sum_by_coordinates(moduli, y, x)]
-                for b in range(blocks) for y in range(size)]
-        assert list(got) == want
+    kernel = math.prod(moduli)
+    size = blocks * kernel
+    plus = coordinate_sums(moduli)
+    # Distinct entries in every head, so that a misplaced column cannot go
+    # unseen, and one coset per block, placed in reverse rank order.
+    rng = random.Random(size)
+    heads = [array(_table_typecode(size), rng.sample(range(size), size)) for _ in range(blocks)]
+    places = [[c * kernel + kernel - 1 - x for x in range(kernel)] for c in range(blocks)]
+    t = _table_of_translates(size, moduli, list(zip(heads, places)))._table
+    for head, rows in zip(heads, places):
+        for x, row in enumerate(rows):
+            want = [head[b * kernel + plus[y][x]] for b in range(blocks) for y in range(kernel)]
+            assert list(t[row * size : (row + 1) * size]) == want
 
 
 @pytest.mark.parametrize("moduli", [(), (1,), (81,), (2, 3, 4), (9, 9), (3, 3, 3, 3)])
 def test_direct_sum_table_matches_coordinate_addition(moduli):
     size = math.prod(moduli)
-    elements = list(product(*(range(m) for m in moduli)))
-    rank = {c: r for r, c in enumerate(elements)}
-    want = [rank[tuple((a + b) % m for a, b, m in zip(cx, cy, moduli))]
-            for cx in elements for cy in elements]
-    assert list(_direct_sum_table(moduli)) == want
+    want = [s for row in coordinate_sums(moduli) for s in row]
+    head = array(_table_typecode(size), range(size))
+    assert list(_table_of_translates(size, moduli, [(head, range(size))])._table) == want
+    assert list(abelian_group(moduli)._table) == want
+
+
+def test_producer_checks_its_head_rows():
+    head = array("H", [0, 1, 2, 3, 4, 5])
+    assert list(_table_of_translates(6, (3,), [(head, [0, 1, 2])])._table[:6]) == list(head)
+    head[4] = 6
+    with pytest.raises(ValueError, match="^table entries must be element indices in range$"):
+        _table_of_translates(6, (3,), [(array("H", range(6)), [3, 4, 5]), (head, [0, 1, 2])])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_producer_tables_are_in_range_everywhere(p):
+    # The producer checks only its head rows; the whole table must pass too.
+    cfg = ClassifyConfig.for_prime(p)
+    for c in candidate_types(cfg):
+        g = build_group(c.ext)
+        assert _entries_below(g._table, g.size), c.label
+    for label, chain in abelian_catalog(cfg):
+        g = abelian_group(chain)
+        assert _entries_below(g._table, g.size), label
 
 
 def brute_force_orders(g):
@@ -181,6 +205,8 @@ def test_typecode_rule_at_its_cut_off():
 def test_every_producer_makes_the_rule_typecode(p, monkeypatch):
     # The constructor converts a table of any other typecode, so record what
     # each producer hands it: a table of the wrong width would be copied.
+    # ``_table_of_translates`` makes its groups without the constructor, so
+    # record the typecode of the tables it makes.
     handed = []
     real = FiniteGroup.__init__
 
@@ -189,9 +215,10 @@ def test_every_producer_makes_the_rule_typecode(p, monkeypatch):
         real(self, table, size)
     monkeypatch.setattr(FiniteGroup, "__init__", recording)
     g = build_group(candidate_types(ClassifyConfig.for_prime(p))[0].ext)
-    abelian_group([p**2, p, p])
+    for made in (g, abelian_group([p**2, p, p])):
+        handed.append((made._table.typecode, _table_typecode(made.size)))
     quotient(g, center(g))
-    assert set(handed) == {("H", "H")}
+    assert len(handed) == 3 and set(handed) == {("H", "H")}
     monkeypatch.undo()
     for table in (list(g._table), array("i", g._table)):
         assert FiniteGroup(table, g.size)._table.typecode == "H"
@@ -208,7 +235,7 @@ def test_four_byte_tables_behave_as_two_byte_ones(monkeypatch):
     wide = build_group(c.ext)
     assert wide._table.typecode == "i"
     assert table_sha256(wide) == table_sha256(narrow) == golden()["p3"][c.label]
-    assert _direct_sum_table([9, 3, 3]).typecode == "i"
+    assert abelian_group([9, 3, 3])._table.typecode == "i"
     assert quotient(wide, center(wide))._table.typecode == "i"
     assert FiniteGroup(narrow._table, narrow.size)._table.typecode == "i"
     assert verify_group_axioms(wide).ok
