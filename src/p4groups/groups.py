@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product
-from operator import add, eq, itemgetter
+from operator import add, eq, itemgetter, lt
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -110,6 +110,30 @@ def _inverse_of(t: array, n: int, e: int, i: int) -> int:
     return -1
 
 
+def _inverses_of(g: "FiniteGroup", xs: Iterable[int]) -> list[int]:
+    """A two-sided inverse of each x in xs: x^(n-1) in a group of order n,
+    made for every x at once by left-to-right square-and-multiply, one
+    gather of the table at computed indices per step, and checked exactly
+    by two more gathers, x*y = y*x = e.  A table that fails the check is
+    not a group; every x then takes ``FiniteGroup.inv``, the least two-sided
+    inverse, which names the first x without one."""
+    e = g.identity_index
+    n = g.size
+    t = g._table
+    xs = list(xs)
+    y = xs  # x^1; x^0 = e = x when n = 1
+    for bit in bin(n - 1)[3:]:
+        y = _gather(t, list(map((n + 1).__mul__, y)))  # y*y
+        if bit == "1":
+            y = _gather(t, list(map(add, map(n.__mul__, y), xs)))  # y*x
+    if (
+        _gather(t, list(map(add, map(n.__mul__, xs), y))).count(e) == len(xs)
+        and _gather(t, list(map(add, map(n.__mul__, y), xs))).count(e) == len(xs)
+    ):
+        return list(y)
+    return list(map(g.inv, xs))
+
+
 def _pairwise_commute(g: "FiniteGroup", elements: Sequence[int]) -> bool:
     mul = g.mul
     return all(mul(a, b) == mul(b, a) for a in elements for b in elements)
@@ -118,8 +142,8 @@ def _pairwise_commute(g: "FiniteGroup", elements: Sequence[int]) -> bool:
 def _generator_commutators(g: "FiniteGroup") -> set[int]:
     """[a, b] = a b a^-1 b^-1 for every pair of generators a, b of g."""
     mul = g.mul
-    inv = g.inverses
     gens = g.generating_sequence
+    inv = dict(zip(gens, _inverses_of(g, gens)))
     return {mul(mul(a, b), mul(inv[a], inv[b])) for a in gens for b in gens}
 
 
@@ -226,38 +250,16 @@ class FiniteGroup:
 
     @cached_property
     def inverses(self) -> list[int]:
-        """A two-sided inverse of every element.
-
-        In a group of order n, x^-1 = x^(n-1).  Left-to-right
-        square-and-multiply makes it for every x at once, one gather of the
-        table per step, and two more gathers check x*y = y*x = e exactly.
-        In a group that inverse is the only one; a table that is not a group
-        may have others, and then this one need not be the least.  A table
-        that fails the check is not a group; it takes the byte search
-        ``_inverse_of`` per element, which finds the least two-sided inverse
-        or names the first element without one.
-        """
-        e = self.identity_index
-        n = self.size
-        t = self._table
-        cols = range(n)
-        y = list(cols) if n > 1 else [e]  # x^1, or x^0 when n = 1
-        for bit in bin(n - 1)[3:]:
-            y = _gather(t, list(map((n + 1).__mul__, y)))  # y*y
-            if bit == "1":
-                y = _gather(t, list(map(add, map(n.__mul__, y), cols)))  # y*x
-        if (
-            _gather(t, list(map(add, range(0, n * n, n), y))).count(e) == n
-            and _gather(t, list(map(add, map(n.__mul__, y), cols))).count(e) == n
-        ):
-            return list(y)
-        out = [_inverse_of(t, n, e, i) for i in cols]
-        if -1 in out:
-            raise ValueError(f"element {out.index(-1)} has no two-sided inverse")
-        return out
+        """``_inverses_of`` every element, for ``verify_group_axioms``; other
+        callers ask ``_inverses_of`` for the few inverses they read."""
+        return _inverses_of(self, range(self.size))
 
     def inv(self, i: int) -> int:
-        return self.inverses[i]
+        """The least two-sided inverse of i, the only one in a group, by the
+        byte search ``_inverse_of``; ValueError when i has none."""
+        if (j := _inverse_of(self._table, self.size, self.identity_index, i)) < 0:
+            raise ValueError(f"element {i} has no two-sided inverse")
+        return j
 
     def power(self, i: int, k: int) -> int:
         if k < 0:
@@ -327,10 +329,9 @@ class FiniteGroup:
         generate the whole group of inner automorphisms."""
         n = self.size
         t = self._table
-        inv = self.inverses
-        # conj[s][x] = s x s^-1: left multiplication by s (row s), then right
-        # multiplication by s^-1 (column inv[s]).
-        conj = [_gather(t[inv[s]::n], t[s * n : (s + 1) * n]) for s in self.generating_sequence]
+        gens = self.generating_sequence
+        conj = [_gather(t[si::n], t[s * n : (s + 1) * n])  # x -> s x s^-1: row s, column s^-1
+                for s, si in zip(gens, _inverses_of(self, gens))]
         class_id = [-1] * n
         sizes = [0] * n
         reps: list[int] = []
@@ -646,8 +647,8 @@ def _conjugates(g: FiniteGroup, xs: Iterable[int]) -> set[int]:
     """s x s^-1 for every generator s of g and every x in xs."""
     n = g.size
     t = g._table
-    inv = g.inverses
-    return {t[t[s * n + x] * n + inv[s]] for s in g.generating_sequence for x in xs}
+    gens = g.generating_sequence
+    return {t[t[s * n + x] * n + si] for s, si in zip(gens, _inverses_of(g, gens)) for x in xs}
 
 
 def derived_subgroup(g: FiniteGroup) -> Subgroup:
@@ -843,7 +844,7 @@ def _twist_count(g: FiniteGroup) -> int:
     maximal-class groups of order p^4 whose relations differ only by a
     quadratic nonresidue, which no fingerprint field does for p >= 5.
 
-    Four shortcuts skip only terms that are zero or equal, so the count is
+    Five shortcuts skip only terms that are zero or equal, so the count is
     exact:
     - class <= 2 (G' <= Z(G)): [[x, y], y] = e for every pair, so T = 0;
     - x with x^p = e: the only target is e, which c != e rules out;
@@ -853,53 +854,62 @@ def _twist_count(g: FiniteGroup) -> int:
     - for central z, [x, yz] = [x, y], so yz counts what y counts, and the
       class of yz is the class of y times z, of the same size: one count per
       orbit of classes under multiplication by Z(G), weighted by the size of
-      the class times the number of classes in the orbit.
+      the class times the number of classes in the orbit;
+    - for z in Omega = {z in Z(G) : z^p = e}, [xz, y] = [x, y] and
+      (xz)^p = x^p z^p = x^p, so x runs over the least member of each
+      Omega-coset, weighted by |Omega|.
     Since x^p != e has order a power of p, the targets (x^p)^k for distinct
     k in 1..p-1 are distinct, so c matches at most one of them and the
-    matches over all k count each x once.
+    matches over all k count each x once.  [x, y] lies in G', so [[x, y], y]
+    is read from the |G'| values [d, y], d in G'.
     """
     n = g.size
-    if n == 1:
-        return 0
     t = g._table
     e = g.identity_index
-    mul = g.mul
-    inv = g.inverses
-    gens = g.generating_sequence
+    class_id, sizes, reps = g.conjugacy
     # G' is the normal closure of the generator commutators; when these are
     # central it is the subgroup they generate, so G' <= Z(G).
-    if all(mul(c, s) == mul(s, c) for c in _generator_commutators(g) for s in gens):
+    if all(sizes[c] == 1 for c in _generator_commutators(g)):
         return 0
     p = least_prime_factor(n)
-    squares = {k * k % p for k in range(1, p)}
+    pth = g.pth_powers
+    central = [z for z in range(n) if sizes[z] == 1]
+    omega = [z for z in central if pth[z] == e]
     # No prime below p divides the order of x^p != e, so (x^p)^k != e for
-    # 0 < k < p: e is never a target.
-    xs = [x for x, xp in enumerate(g.pth_powers) if xp != e]
+    # 0 < k < p: e is never a target.  Keep x when x < x*w for every w in
+    # omega[1:], the w != e (central is sorted, so omega[0] = e = 0).
+    xs = [x for x, xp in enumerate(pth) if xp != e]
+    for w in omega[1:]:
+        xs = list(compress(xs, map(lt, xs, _gather(t, list(map(w.__add__, map(n.__mul__, xs)))))))
     # targets holds, for each square k, (x^p)^k for every x in xs:
     # (x^p)^(k+1) = (x^p)^k x^p is one gather of the table per k.
-    xps = _gather(g.pth_powers, xs)
+    xps = _gather(pth, xs)
     power, targets = xps, []
     for k in range(1, p):
-        if k in squares:
+        if pow(k, (p - 1) // 2, p) == 1:  # k is a square mod p
             targets.append(power)
         power = _gather(t, list(map(add, map(n.__mul__, power), xps)))
-    class_id, sizes, reps = g.conjugacy
-    central = [z for z in range(n) if sizes[z] == 1]
-    row_starts = range(0, n * n, n)
+    # [a, y] = (a y)(a^-1 y^-1) for a in G' and then in xs is three gathers
+    # at the row starts of a and of a^-1.
+    derived = sorted(g.derived_elements)
+    rows = list(map(n.__mul__, derived + xs))
+    inverse_rows = list(map(n.__mul__, _inverses_of(g, derived + xs)))
     counted: set[int] = set()
     total = 0
-    for y in reps:
+    for y, yi in zip(reps, _inverses_of(g, reps)):
         if sizes[y] == 1 or class_id[y] in counted:
             continue
-        row = t[y * n : (y + 1) * n]
-        orbit = set(_gather(class_id, _gather(row, central)))
+        orbit = set(_gather(class_id, _gather(t, list(map((y * n).__add__, central)))))
         counted |= orbit
-        # conj[z] = y z y^-1, so comm[z] = z conj[z^-1] = [z, y].
-        conj = _gather(t[inv[y]::n], row)
-        comm = _gather(t, list(map(add, row_starts, _gather(conj, inv))))
-        cs = _gather(comm, _gather(comm, xs))
+        ay = _gather(t, list(map(y.__add__, rows)))
+        ai_yi = _gather(t, list(map(yi.__add__, inverse_rows)))
+        comm = _gather(t, list(map(add, map(n.__mul__, ay), ai_yi)))
+        try:  # [[x, y], y] from [d, y] -> [[d, y], y]
+            cs = _gather(dict(zip(derived, comm)), comm[len(derived) :])
+        except KeyError:
+            raise ValueError(f"a commutator [x, {y}] lies outside the derived subgroup") from None
         total += sizes[y] * len(orbit) * sum(sum(map(eq, cs, target)) for target in targets)
-    return total
+    return total * len(omega)
 
 
 def isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> tuple[bool, Optional[list[int]]]:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p4groups.classify import ClassifyConfig, abelian_catalog, candidate_types
+from p4groups.classify import ClassifyConfig, abelian_catalog, candidate_types, classify_p4
 from p4groups import groups as groups_module
 from p4groups.extension import build_group
 from p4groups.groups import (
@@ -214,16 +214,36 @@ def test_twist_count(group):
     assert _twist_count(group) == brute_twist_count(group)
 
 
+def times_cyclic(g, m):
+    """G x C_m, with (a, b) at index m*a + b."""
+    pairs = list(product(range(g.size), range(m)))
+    return FiniteGroup([g.mul(a, c) * m + (b + d) % m for a, b in pairs for c, d in pairs], m * g.size)
+
+
 def test_twist_count_weights_orbits_of_classes_under_the_center():
     # H = G x C3 for G = 2x2-r4-v0: (e, 1) is central and moves the class of
     # (y, c) to that of (y, c + 1), so every noncentral class lies in an
     # orbit of at least three, and [[x, y], y] and (x^3)^k ignore the C3
     # coordinates: T(H) = 9 T(G), counted from one class per orbit.
-    g = dict(CANDIDATES3)["2x2-r4-v0"]
-    n = g.size
-    pairs = list(product(range(n), range(3)))  # (a, b) has index 3a + b
-    h = FiniteGroup([g.mul(a, c) * 3 + (b + d) % 3 for a, b in pairs for c, d in pairs], 3 * n)
+    h = times_cyclic(dict(CANDIDATES3)["2x2-r4-v0"], 3)
     assert _twist_count(h) == brute_twist_count(h) == 9 * 1620
+
+
+def test_twist_count_weights_only_central_elements_of_order_p():
+    # H = G x C9: (x, c)^3 = (x^3, 3c) meets a target only when 3c = 0 mod 9,
+    # so 3 of the 9 values of c count, and every d of y = (y, d) counts:
+    # T(H) = 27 T(G).  Omega = {z in Z(H) : z^3 = e} holds (e, 3) but not
+    # (e, 1), whose weight would make it 81 T(G).
+    h = times_cyclic(dict(CANDIDATES3)["2x2-r4-v0"], 9)
+    assert _twist_count(h) == 27 * 1620
+
+
+def test_twist_count_rejects_a_commutator_outside_the_derived_subgroup():
+    cands = {c.label: c for c in candidate_types(CFG3)}
+    g = build_group(cands["2x2-r4-v0"].ext)  # class 3, so the count runs
+    g.derived_elements = frozenset({g.identity_index})  # a trivial "G'"
+    with pytest.raises(ValueError, match="lies outside the derived subgroup"):
+        _twist_count(g)
 
 
 # The nonzero twist counts of the catalog candidates; every other candidate
@@ -326,17 +346,52 @@ def test_group_inverses_take_no_byte_search(monkeypatch):
         assert g.inverses == brute_inverses(g)
 
 
+def one_sided_magma():
+    rows = [[0, 1, 2, 3], [1, 3, 0, 0], [2, 1, 0, 1], [3, 0, 1, 0]]
+    return FiniteGroup([x for row in rows for x in row], 4)
+
+
 def test_inverse_skips_one_sided_identity():
     # Row 1 holds the identity at column 2 first, but 2*1 = 1; the least
     # two-sided inverse of 1 is 3.  Here 1^3 = (1*1)*1 = 0 is no inverse of
     # 1, so the gathered powers fail the check and the byte search runs.
-    rows = [[0, 1, 2, 3], [1, 3, 0, 0], [2, 1, 0, 1], [3, 0, 1, 0]]
-    g = FiniteGroup([x for row in rows for x in row], 4)
+    g = one_sided_magma()
     assert g.inverses == brute_inverses(g) == [0, 3, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda c=c: build_group(c.ext) for c in candidate_types(CFG3)] + [one_sided_magma],
+    ids=[c.label for c in candidate_types(CFG3)] + ["one-sided-magma"],
+)
+def test_inv_is_the_least_two_sided_inverse_before_and_after_caching(make):
+    # In the magma 3*3 = 0 as well, but the least two-sided inverse of 3 is 1.
+    g = make()
+    want = brute_inverses(g)
+    assert [g.inv(i) for i in range(g.size)] == want
+    assert "inverses" not in g.__dict__
+    g.inverses
+    assert [g.inv(i) for i in range(g.size)] == want
+
+
+def test_iso_and_classify_build_no_whole_inverse_map():
+    # Only verify_group_axioms reads every inverse; the rest read a few.
+    r4, r5 = twist_pair(5)
+    assert isomorphic(r4, r5) == (False, None)
+    groups = [r4, r5]
+    for p in (3, 5):
+        cfg = ClassifyConfig.for_prime(p)
+        cands = candidate_types(cfg)
+        classify_p4(cfg, cands)
+        groups += [c.group for c in cands if "group" in c.__dict__]
+    assert len(groups) > 2
+    assert not [g for g in groups if "inverses" in g.__dict__]
 
 
 def test_magma_without_inverse_raises():
     g = FiniteGroup([0, 1, 1, 1], 2)  # x*y = max(x, y): 1 has no inverse
+    with pytest.raises(ValueError, match="element 1 has no two-sided inverse"):
+        g.inv(1)
     with pytest.raises(ValueError, match="element 1 has no two-sided inverse"):
         g.inverses
 
