@@ -21,7 +21,8 @@ from .classify import (
     render_table2,
 )
 from .extension import ExtensionType, build_group
-from .groups import FiniteGroup, fingerprint, isomorphic, order_census
+from .groups import MAX_TABLE_ORDER, FiniteGroup, fingerprint, isomorphic, order_census
+from .residues import MAX_PRIME
 from .verification import run_verification_suite
 
 EXIT_OK = 0
@@ -44,7 +45,9 @@ def _guarded_config(args: argparse.Namespace) -> ClassifyConfig:
     """Config for ``--p`` of classify, tables and verify, behind the p guard.
 
     The guard comes first, so an oversized ``--p`` is rejected before any
-    primality or residue work is done on it.
+    primality or residue work is done on it.  ``--force`` reaches only the
+    primes whose p^4 elements fit a table; a p below 1 or above MAX_PRIME is
+    left to ``for_prime``, which says what is wrong with it.
     """
     if args.p > CLASSIFY_GUARD and not args.force:
         raise CliError(
@@ -52,6 +55,8 @@ def _guarded_config(args: argparse.Namespace) -> ClassifyConfig:
             "pass --force to run anyway",
             EXIT_USAGE,
         )
+    if 0 < args.p <= MAX_PRIME and args.p**4 > MAX_TABLE_ORDER:
+        raise CliError(f"p={args.p}: {_over_limit(args.p**4)}", EXIT_USAGE)
     try:
         return ClassifyConfig.for_prime(args.p)
     except ValueError as exc:
@@ -71,7 +76,13 @@ def _guarded_group(path: str, force: bool) -> FiniteGroup:
             "runtime guard; pass --force to run anyway",
             EXIT_USAGE,
         )
+    if ext.group_order > MAX_TABLE_ORDER:
+        raise CliError(f"{path}: {_over_limit(ext.group_order)}", EXIT_USAGE)
     return build_group(ext)
+
+
+def _over_limit(order: int) -> str:
+    return f"a group of order {order} exceeds the table limit of {MAX_TABLE_ORDER} elements"
 
 
 def _csv_cell(value: object) -> str:

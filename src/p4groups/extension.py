@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import FiniteGroup, _gather, _rotated, _table_of_translates, _table_typecode
+from .groups import FiniteGroup, _check_order, _gather, _rotated, _table_of_translates
 from .residues import (
     AbelianElement,
     MixedModulusMatrix,
@@ -159,16 +159,16 @@ def build_group(t: ExtensionType) -> FiniteGroup:
     n = t.n
     nsize = profile.order
     size = nsize * n
+    _check_order(size)  # before any row is built
     tau = _linear_ranks(t.tau)
     tau_i = tuple(range(nsize))  # tau^i by rank
     plus_v = _plus_ranks(profile, t.v.coords)
 
-    code = _table_typecode(size)
     cosets = []
     for i in range(n):
         # Row (0, a^i), column (y, a^j): (tau^i(y) + floor((i+j)/n)*v, a^((i+j) mod n)).
         tau_v = _gather(plus_v, tau_i)
-        head = array(code)
+        head = array("H")
         for j in range(n):
             base = (i + j) % n * nsize
             head.extend([base + y for y in (tau_i if i + j < n else tau_v)])

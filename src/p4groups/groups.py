@@ -1,13 +1,12 @@
 """Finite groups as explicit multiplication tables.
 
-Groups small enough for this project (order <= 7^4) are stored as full Cayley
-tables over element indices 0..size-1, in an ``array`` of two bytes per entry
-(typecode "H") when the order is at most 2^15, which covers every p <= 13, and
-of four bytes ("i") above that; ``_table_typecode`` is the one rule that every
-table producer follows.  A row of a direct sum of cyclic groups, and a row of
-a cyclic extension (see ``extension.build_group``), is a translate of one head
-row inside each block of columns: ``_table_of_translates`` writes every
-translate into the table by slice copies and range-checks only the heads.
+Groups are stored as full Cayley tables over element indices 0..size-1, in
+an ``array("H")`` of two bytes per entry, so a table has at most
+``MAX_TABLE_ORDER`` = 2^16 elements (every p <= 13).  A row of a direct sum
+of cyclic groups, and a row of a cyclic extension (see
+``extension.build_group``), is a translate of one head row inside each block
+of columns: ``_table_of_translates`` writes every translate into the table
+by slice copies and range-checks only the heads.
 The invariants that can be read off generators are: commutativity, conjugacy
 classes (orbits under conjugation by the generators), normality and the
 derived subgroup.  Values are immutable after construction and all queries
@@ -17,7 +16,6 @@ are pure, so they are safe to share across threads.
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,80 +31,24 @@ def _gather(seq: Sequence[int], idx: Sequence[int]) -> tuple[int, ...]:
     return itemgetter(*idx)(seq)
 
 
-# The range check reads a table this many entries at a time, so it never
-# holds more than a few chunk-sized integers: 2^16 measured about 2 MB more
-# peak RSS on a p = 5 classify than 2^14, and no faster.
-_RANGE_CHUNK = 1 << 14
-
 _OUT_OF_RANGE = "table entries must be element indices in range"
 
-
-def _table_typecode(size: int) -> str:
-    """The array typecode of a table on size elements: "H" (two bytes) up to
-    2^15 elements, the widest that ``_entries_below`` checks in 16-bit
-    lanes, and "i" (four bytes) above."""
-    return "H" if size <= 1 << 15 else "i"
+# An "H" entry holds 0..65535, so a table has at most 2^16 elements.
+MAX_TABLE_ORDER = 1 << 16
 
 
-def _repeat_word(word: int, width: int, count: int) -> int:
-    """The integer whose native-order bytes are count copies of the word of
-    width bytes."""
-    return int.from_bytes(word.to_bytes(width, sys.byteorder) * count, sys.byteorder)
-
-
-def _entries_below(flat: array, bound: int) -> bool:
-    """Whether every entry of the array flat, read as an unsigned word of
-    L = 8 * flat.itemsize bits, is below bound (1 <= bound <= 2^(L-1)).
-
-    The bytes of each chunk, read as one integer in native byte order, hold
-    the entries as L-bit lanes, so each test is a few big-integer
-    operations in C.  Let top = bound - 1 and w = top.bit_length().  An
-    entry with a bit at or above w set is out of range.  Any other entry is
-    below 2^w, and it exceeds top exactly when adding 2^w - 1 - top to it
-    sets bit w; that sum stays below 2^(w+1), and bound <= 2^(L-1) makes
-    w <= L - 1, so no lane carries into the next.  That is the lane-width
-    rule: "i" arrays take bounds up to 2^31, "H" arrays up to 2^15 (with
-    16-bit lanes and bound 40000, an entry above 39999 plus its lift would
-    carry into the next lane).
-    """
-    itemsize = flat.itemsize
-    lane = 8 * itemsize
-    if not 1 <= bound <= 1 << (lane - 1):
-        raise ValueError(f"bound must lie in 1..2^{lane - 1}")
-    top = bound - 1
-    width = top.bit_length()
-    lift = (1 << width) - 1 - top
-    masks: dict[int, tuple[int, int, int]] = {}
-    with memoryview(flat) as view:
-        for lo in range(0, len(flat), _RANGE_CHUNK):
-            chunk = view[lo : lo + _RANGE_CHUNK].tobytes()
-            count = len(chunk) // itemsize
-            if count not in masks:
-                masks[count] = (
-                    _repeat_word(((1 << lane) - 1) ^ ((1 << width) - 1), itemsize, count),
-                    _repeat_word(lift, itemsize, count),
-                    _repeat_word(1 << width, itemsize, count),
-                )
-            high, lifts, carries = masks[count]
-            x = int.from_bytes(chunk, sys.byteorder)
-            if x & high or lift and (x + lifts) & carries:
-                return False
-    return True
+def _check_order(size: int) -> None:
+    """ValueError unless size lies in 1..MAX_TABLE_ORDER."""
+    if not 1 <= size <= MAX_TABLE_ORDER:
+        raise ValueError(f"group size must lie in 1..{MAX_TABLE_ORDER}, got {size}")
 
 
 def _inverse_of(t: array, n: int, e: int, i: int) -> int:
-    """Least j with i*j = j*i = e in the flat table t, or -1 if there is none.
-
-    Row i is searched as bytes for e's bytes; only a hit that starts an entry
-    is a column, so the search resumes at the start of the next entry."""
-    row = t[i * n : (i + 1) * n].tobytes()
-    needle = array(t.typecode, [e]).tobytes()
-    pos = row.find(needle)
-    while pos >= 0:
-        j, offset = divmod(pos, t.itemsize)
-        if not offset and t[j * n + i] == e:
+    """Least j with i*j = j*i = e in the flat table t, or -1 if there is none:
+    the first column j where row i holds e whose entry j*i is e too."""
+    for j in compress(range(n), map(e.__eq__, t[i * n : (i + 1) * n])):
+        if t[j * n + i] == e:
             return j
-        pos = row.find(needle, (j + 1) * t.itemsize)
     return -1
 
 
@@ -219,25 +161,17 @@ class FiniteGroup:
     identity_index = 0
 
     def __init__(self, table: Union[Sequence[int], array], size: int):
-        if size < 1:
-            raise ValueError("group size must be positive")
-        # The table is stored with the typecode of _table_typecode: two bytes
-        # per entry up to 2^15 elements, four above.  A table of another
-        # typecode is converted; an entry that does not fit the typecode
-        # (a negative one in "H") raises OverflowError there.
-        code = _table_typecode(size)
+        _check_order(size)
+        # A table of another typecode is converted to "H"; an entry outside
+        # 0..65535, a negative one in particular, raises OverflowError there,
+        # so the maximum alone decides the range.
         try:
-            flat = table if isinstance(table, array) and table.typecode == code else array(code, table)
+            flat = table if isinstance(table, array) and table.typecode == "H" else array("H", table)
         except OverflowError:
             raise ValueError(_OUT_OF_RANGE) from None
         if len(flat) != size * size:
             raise ValueError(f"table must have {size * size} entries, got {len(flat)}")
-        # The entries are read as unsigned, so a negative "i" entry reads as
-        # at least 2^31 and fails the same bound as an entry >= size.  The
-        # check compares the 16- or 32-bit lanes of one big integer per chunk
-        # of 2^14 entries against size - 1 (see _entries_below), in C.  Only
-        # _table_of_translates skips it: it checks its head rows instead.
-        if not _entries_below(flat, size):
+        if max(flat, default=0) >= size:
             raise ValueError(_OUT_OF_RANGE)
         self.size = size
         self._table = flat
@@ -256,7 +190,7 @@ class FiniteGroup:
 
     def inv(self, i: int) -> int:
         """The least two-sided inverse of i, the only one in a group, by the
-        byte search ``_inverse_of``; ValueError when i has none."""
+        scan ``_inverse_of``; ValueError when i has none."""
         if (j := _inverse_of(self._table, self.size, self.identity_index, i)) < 0:
             raise ValueError(f"element {i} has no two-sided inverse")
         return j
@@ -422,18 +356,21 @@ def _table_of_translates(size: int, moduli: Sequence[int], cosets: Iterable) -> 
     chunks first, are translated by ``_rotated`` on a copy of head with each
     block doubled; a shift by t*s in the first coordinate, of stride s, is
     then the slice [t*s, t*s + K) of every doubled block, copied straight
-    into the table.  Every entry written is a head entry and the rest stay
-    0, so checking the heads against size checks the whole table exactly.
+    into the table.  The heads are "H" arrays, so their entries are at
+    least 0.  Every entry written is a head entry and the rest stay 0, so
+    checking the maximum of each head against size checks the whole table
+    exactly.  A size above ``MAX_TABLE_ORDER`` is refused before the table
+    is allocated.
     """
-    code = _table_typecode(size)
-    table = array(code, [0]) * (size * size)
+    _check_order(size)
+    table = array("H", [0]) * (size * size)
     first, *rest = moduli or (1,)
     kernel = math.prod(moduli)
     with memoryview(table) as out:
         for head, places in cosets:
-            if not _entries_below(head, size):
+            if max(head, default=0) >= size:
                 raise ValueError(_OUT_OF_RANGE)
-            rows = [array(code)]
+            rows = [array("H")]
             for lo in range(0, size, kernel):
                 rows[0] += head[lo : lo + kernel] * 2
             stride = kernel // first
@@ -474,9 +411,13 @@ def abelian_group(moduli: Sequence[int]) -> FiniteGroup:
     """Direct product of cyclic groups of the given orders.
 
     Element (c1, ..., ck) has the mixed-radix index of its coordinates, the
-    last coordinate fastest (``itertools.product`` order)."""
+    last coordinate fastest (``itertools.product`` order).  Every order must
+    be at least 1."""
+    if min(moduli, default=1) < 1:
+        raise ValueError(f"cyclic factor orders must be at least 1, got {min(moduli)}")
     size = math.prod(moduli)
-    return _table_of_translates(size, moduli, [(array(_table_typecode(size), range(size)), range(size))])
+    _check_order(size)
+    return _table_of_translates(size, moduli, [(array("H", range(size)), range(size))])
 
 
 @dataclass(frozen=True)
@@ -738,7 +679,7 @@ def quotient(g: FiniteGroup, n_sub: Subgroup) -> FiniteGroup:
         reps.append(i)
         for x in _gather(t[i * n : (i + 1) * n], n_sub.elements):
             coset_id[x] = cid
-    table = array(_table_typecode(len(reps)))
+    table = array("H")
     for r in reps:
         table.extend(_gather(coset_id, _gather(t[r * n : (r + 1) * n], reps)))
     return FiniteGroup(table, len(reps))

@@ -98,6 +98,27 @@ class TestClassifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "p must be <= 97" in err
 
+    @pytest.mark.parametrize("command", ["classify", "tables", "verify"])
+    @pytest.mark.parametrize("p", ["17", "97"])
+    def test_forced_p_past_the_table_limit_is_usage_error(self, capsys, monkeypatch, command, p):
+        # 17^4 > 2^16: the tables would not fit two-byte entries, so the
+        # command stops before it makes a config, let alone a table.
+        monkeypatch.setattr("p4groups.cli.ClassifyConfig.for_prime",
+                            _raising(AssertionError("for_prime called past the table limit")))
+        code, out, err = run(capsys, command, "--p", p, "--force")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: p={p}: a group of order {int(p)**4} exceeds")
+        assert err.count("\n") == 1 and "table limit of 65536 elements" in err
+
+    def test_forced_p13_is_within_the_table_limit(self, capsys, monkeypatch):
+        # 13^4 = 28561 <= 2^16: the command goes on to the config.
+        monkeypatch.setattr("p4groups.cli.ClassifyConfig.for_prime",
+                            _raising(ValueError("config reached")))
+        code, _, err = run(capsys, "classify", "--p", "13", "--force")
+        assert code == 2
+        assert err == "error: config reached\n"
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "classify", "--p", "3", "--format", "json")
         assert code == 0
@@ -227,6 +248,21 @@ class TestIsoCommand:
         code, _, err = run(capsys, "iso", str(bad), a)
         assert code == 1
         assert err
+
+
+
+@pytest.mark.parametrize("argv", [["construct", "--type", "{a}"], ["iso", "{a}", "{b}"]])
+def test_forced_type_past_the_table_limit_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    # Order 17^3 * 17 = 83521 > 2^16: refused before build_group runs.
+    monkeypatch.setattr("p4groups.cli.build_group",
+                        _raising(AssertionError("build_group called past the table limit")))
+    big = {"p": 17, "shape": "p2xp", "n": 17, "tau": [[1, 0], [0, 1]], "v": [0, 0]}
+    paths = {"a": write_type(tmp_path, "a.json", big), "b": write_type(tmp_path, "b.json", ROW1)}
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in argv], "--force")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {paths['a']}: a group of order 83521 exceeds the table limit "
+                   "of 65536 elements\n")
 
 
 class TestTablesCommand:

@@ -1,16 +1,16 @@
 """Finite-group machinery: axiom verification, invariants, quotients, and the
 isomorphism oracle."""
 
-import random
 from array import array
 
 import pytest
 
+from p4groups import extension, groups
 from p4groups.extension import ExtensionType, build_group
 from p4groups.groups import (
-    _RANGE_CHUNK,
+    MAX_TABLE_ORDER,
     FiniteGroup,
-    _entries_below,
+    _table_of_translates,
     abelian_group,
     abelian_invariants,
     center,
@@ -63,6 +63,12 @@ def groups3():
     }
 
 
+def _raising(exc):
+    def fail(*args):
+        raise exc
+    return fail
+
+
 def as_array(table):
     """The table as an "i" array, or as a "q" array when an entry does not
     fit in 32 bits."""
@@ -89,99 +95,47 @@ class TestTableValidation:
         with pytest.raises(ValueError, match="must have 4 entries"):
             FiniteGroup([0, 1, 1], 2)
 
+    # A p = 5 table holds the entries 0..624; 625 is the least entry out of
+    # range and 65535 the largest that an "H" entry can hold.
+    @pytest.mark.parametrize("bad", [625, 65535])
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("container", [list, lambda t: t], ids=["list", "array"])
+    def test_p5_entry_of_size_or_65535_rejected(self, bad, at, container):
+        table = array("H", abelian_group([25, 5, 5])._table)
+        table[at] = bad
+        with pytest.raises(ValueError, match="element indices in range"):
+            FiniteGroup(container(table), 625)
 
-class TestEntriesBelow:
-    """The chunked range check against its definition: the maximum entry,
-    read as unsigned, is below the bound."""
+    @pytest.mark.parametrize("bad", [625, 65535])
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    def test_p5_head_entry_of_size_or_65535_rejected(self, bad, at):
+        head = array("H", range(625))
+        head[at] = bad
+        with pytest.raises(ValueError, match="element indices in range"):
+            _table_of_translates(625, (25, 5, 5), [(head, range(625))])
 
-    BOUNDS = [1, 2, 256, 257, 2401, 65536, 2**31 - 1]
+    def test_size_above_the_table_limit_rejected(self, monkeypatch):
+        # Refused before any array is made: a table past the limit would take
+        # at least 8 GB, so making one fails the test instead.
+        for module in (groups, extension):
+            monkeypatch.setattr(module, "array", _raising(AssertionError("array made")))
+        assert MAX_TABLE_ORDER == 2**16
+        message = rf"^group size must lie in 1\.\.65536, got {2**16 + 1}$"
+        with pytest.raises(ValueError, match=message):
+            FiniteGroup([], 2**16 + 1)
+        with pytest.raises(ValueError, match=message):
+            _table_of_translates(2**16 + 1, (2**16 + 1,), [])
+        with pytest.raises(ValueError, match=message):
+            abelian_group([2**16 + 1])
+        with pytest.raises(ValueError, match=r"^group size must lie in 1\.\.65536, got 83521$"):
+            build_group(ExtensionType.from_json_dict(
+                {"p": 17, "shape": "p2xp", "n": 17, "tau": [[1, 0], [0, 1]], "v": [0, 0]}))
 
-    @staticmethod
-    def reference(a, bound):
-        return max(memoryview(a).cast("B").cast("I")) < bound
 
-    @staticmethod
-    def values(bound):
-        return [0, 255, 256, 65535, 65536, bound - 1, bound, -1, -2**31, 2**31 - 1]
-
-    @staticmethod
-    def check_random(typecode, bound, values, reference):
-        rng = random.Random(bound)
-        good = [v for v in values if 0 <= v < bound]
-        verdicts = set()
-        for length in (1, 2, 3, 7, 64):
-            for _ in range(40):
-                # Half the arrays draw every entry from all values; the rest
-                # draw from the good ones and then set one random entry.
-                if rng.random() < 0.5:
-                    a = array(typecode, [rng.choice(values) for _ in range(length)])
-                else:
-                    a = array(typecode, [rng.choice(good) for _ in range(length)])
-                    a[rng.randrange(length)] = rng.choice(values)
-                verdict = reference(a, bound)
-                assert _entries_below(a, bound) == verdict, list(a)
-                verdicts.add(verdict)
-        assert verdicts == {True, False}
-
-    @pytest.mark.parametrize("bound", BOUNDS)
-    def test_random_arrays(self, bound):
-        self.check_random("i", bound, self.values(bound), self.reference)
-
-    @pytest.mark.parametrize("bound", BOUNDS)
-    def test_bad_entry_in_the_last_partial_chunk(self, bound):
-        rng = random.Random(bound)
-        values = self.values(bound)
-        good = [v for v in values if 0 <= v < bound]
-        block = array("i", [rng.choice(good) for _ in range(1000)])
-        for length in (_RANGE_CHUNK + 1, 2 * _RANGE_CHUNK + 999):
-            a = (block * (length // 1000 + 1))[:length]
-            assert _entries_below(a, bound) and self.reference(a, bound)
-            last = length - length % _RANGE_CHUNK
-            for bad in values:
-                b = array("i", a)
-                b[rng.randrange(last, length)] = bad
-                assert _entries_below(b, bound) == self.reference(b, bound) == (0 <= bad < bound)
-
-    def test_bound_outside_the_supported_range_rejected(self):
-        for bound in (0, 2**31 + 1):
-            with pytest.raises(ValueError, match="bound must lie"):
-                _entries_below(array("i", [0]), bound)
-
-    # Two-byte tables: 16-bit lanes, so bound <= 2^15.
-
-    H_BOUNDS = [1, 2, 256, 257, 2401, 2**15 - 1, 2**15]
-
-    @staticmethod
-    def h_values(bound):
-        return sorted({0, 255, 256, bound - 1, bound, 2**15 - 1, 2**15, 2**16 - 1})
-
-    @pytest.mark.parametrize("bound", H_BOUNDS)
-    def test_random_h_arrays(self, bound):
-        self.check_random("H", bound, self.h_values(bound), lambda a, b: max(a) < b)
-
-    def test_h_bound_2_to_the_15(self):
-        top = array("H", [2**15 - 1]) * 5
-        assert _entries_below(top, 2**15)
-        for i in range(5):
-            a = array("H", top)
-            a[i] = 2**15
-            assert not _entries_below(a, 2**15)
-
-    @pytest.mark.parametrize("bound", [2, 257, 2401, 2**15 - 1])
-    def test_h_entry_one_above_the_top_beside_a_chunk_edge(self, bound):
-        # Every lane holds bound - 1, so adding the lift to it fills the lane
-        # up to bit w - 1; the entry bound is the one that sets bit w.
-        a = array("H", [bound - 1]) * (2 * _RANGE_CHUNK)
-        assert _entries_below(a, bound)
-        for i in (_RANGE_CHUNK - 2, _RANGE_CHUNK - 1, _RANGE_CHUNK, 2 * _RANGE_CHUNK - 1):
-            b = array("H", a)
-            b[i] = bound
-            assert not _entries_below(b, bound)
-
-    def test_h_bound_above_2_to_the_15_rejected(self):
-        for bound in (0, 2**15 + 1, 2**16):
-            with pytest.raises(ValueError, match=r"bound must lie in 1\.\.2\^15"):
-                _entries_below(array("H", [0]), bound)
+@pytest.mark.parametrize("moduli, named", [([-2, -2], -2), ([0], 0), ([3, 0], 0), ([1, -1, -1], -1)])
+def test_abelian_group_rejects_orders_below_one(moduli, named):
+    with pytest.raises(ValueError, match=rf"^cyclic factor orders must be at least 1, got {named}$"):
+        abelian_group(moduli)
 
 
 class TestVerifyGroupAxioms:

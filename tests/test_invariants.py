@@ -339,8 +339,8 @@ def test_quotient_accepts_exactly_the_normal_cyclic_subgroups(group):
 
 
 def test_group_inverses_take_no_byte_search(monkeypatch):
-    # In a group, x^(n-1) passes the two-sided check; the per-element byte
-    # search is only the fallback for tables that are not groups.
+    # In a group, x^(n-1) passes the two-sided check; the per-element scan
+    # ``_inverse_of`` is only the fallback for tables that are not groups.
     monkeypatch.setattr(groups_module, "_inverse_of", None)
     for g in (build_group(candidate_types(CFG3)[0].ext), groups_module.abelian_group([2, 3, 4])):
         assert g.inverses == brute_inverses(g)
@@ -354,7 +354,7 @@ def one_sided_magma():
 def test_inverse_skips_one_sided_identity():
     # Row 1 holds the identity at column 2 first, but 2*1 = 1; the least
     # two-sided inverse of 1 is 3.  Here 1^3 = (1*1)*1 = 0 is no inverse of
-    # 1, so the gathered powers fail the check and the byte search runs.
+    # 1, so the gathered powers fail the check and the scan runs.
     g = one_sided_magma()
     assert g.inverses == brute_inverses(g) == [0, 3, 2, 1]
 

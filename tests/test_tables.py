@@ -2,9 +2,9 @@
 
 The sha256 of every built table is compared with hashes saved from an
 earlier commit (``golden/table-sha256.json``), so a change to how tables are
-built cannot change a single entry.  The entries are hashed as 32-bit words
-whatever width the table stores them in, and a separate test pins that every
-table producer uses the width of ``_table_typecode``.  The p = 7 hashes are
+built cannot change a single entry.  The entries are hashed as 32-bit words,
+the width of the earliest tables, and a separate test pins that every table
+producer stores two-byte ("H") entries.  The p = 7 hashes are
 checked in the slow tier (``-m slow``).  The table producer, the direct-sum
 table and the element orders are checked against direct definitions.
 """
@@ -22,17 +22,12 @@ import pytest
 
 from p4groups.classify import ClassifyConfig, abelian_catalog, candidate_types
 from p4groups.extension import ExtensionType, build_group
-from p4groups import extension, groups
 from p4groups.groups import (
     FiniteGroup,
-    _entries_below,
     _table_of_translates,
-    _table_typecode,
     abelian_group,
     center,
-    isomorphic,
     quotient,
-    verify_group_axioms,
 )
 from p4groups.residues import MixedModulusMatrix, ModulusProfile
 
@@ -60,8 +55,7 @@ OTHER_MODULI = [(1,), (2, 3, 4), (6, 10), (81,), (9, 9), (3, 3, 3, 3), (625,), (
 
 
 def table_sha256(g) -> str:
-    """sha256 of the table's entries as little-endian 32-bit words, whatever
-    width the table stores them in."""
+    """sha256 of the table's entries as little-endian 32-bit words."""
     t = array("i", g._table)
     if sys.byteorder == "big":
         t.byteswap()
@@ -133,7 +127,7 @@ def test_translates_match_coordinate_addition(moduli, blocks):
     # Distinct entries in every head, so that a misplaced column cannot go
     # unseen, and one coset per block, placed in reverse rank order.
     rng = random.Random(size)
-    heads = [array(_table_typecode(size), rng.sample(range(size), size)) for _ in range(blocks)]
+    heads = [array("H", rng.sample(range(size), size)) for _ in range(blocks)]
     places = [[c * kernel + kernel - 1 - x for x in range(kernel)] for c in range(blocks)]
     t = _table_of_translates(size, moduli, list(zip(heads, places)))._table
     for head, rows in zip(heads, places):
@@ -146,7 +140,7 @@ def test_translates_match_coordinate_addition(moduli, blocks):
 def test_direct_sum_table_matches_coordinate_addition(moduli):
     size = math.prod(moduli)
     want = [s for row in coordinate_sums(moduli) for s in row]
-    head = array(_table_typecode(size), range(size))
+    head = array("H", range(size))
     assert list(_table_of_translates(size, moduli, [(head, range(size))])._table) == want
     assert list(abelian_group(moduli)._table) == want
 
@@ -165,10 +159,10 @@ def test_producer_tables_are_in_range_everywhere(p):
     cfg = ClassifyConfig.for_prime(p)
     for c in candidate_types(cfg):
         g = build_group(c.ext)
-        assert _entries_below(g._table, g.size), c.label
+        assert max(g._table) < g.size, c.label
     for label, chain in abelian_catalog(cfg):
         g = abelian_group(chain)
-        assert _entries_below(g._table, g.size), label
+        assert max(g._table) < g.size, label
 
 
 def brute_force_orders(g):
@@ -196,11 +190,6 @@ def test_element_orders_fall_back_to_the_walk():
         g.element_orders
 
 
-def test_typecode_rule_at_its_cut_off():
-    assert _table_typecode(1) == _table_typecode(2**15) == "H"
-    assert _table_typecode(2**15 + 1) == _table_typecode(17**4) == "i"
-
-
 @pytest.mark.parametrize("p", [3, 5])
 def test_every_producer_makes_the_rule_typecode(p, monkeypatch):
     # The constructor converts a table of any other typecode, so record what
@@ -211,34 +200,15 @@ def test_every_producer_makes_the_rule_typecode(p, monkeypatch):
     real = FiniteGroup.__init__
 
     def recording(self, table, size):
-        handed.append((table.typecode, _table_typecode(size)))
+        handed.append(table.typecode)
         real(self, table, size)
     monkeypatch.setattr(FiniteGroup, "__init__", recording)
     g = build_group(candidate_types(ClassifyConfig.for_prime(p))[0].ext)
     for made in (g, abelian_group([p**2, p, p])):
-        handed.append((made._table.typecode, _table_typecode(made.size)))
+        handed.append(made._table.typecode)
     quotient(g, center(g))
-    assert len(handed) == 3 and set(handed) == {("H", "H")}
+    assert handed == ["H"] * 3
     monkeypatch.undo()
     for table in (list(g._table), array("i", g._table)):
         assert FiniteGroup(table, g.size)._table.typecode == "H"
     assert FiniteGroup(g._table, g.size)._table is g._table
-
-
-def test_four_byte_tables_behave_as_two_byte_ones(monkeypatch):
-    # Above 2^15 elements tables are "i" arrays; forcing that typecode at
-    # order 81 runs the same producers and queries on that branch.
-    c = candidate_types(P3)[0]
-    narrow = build_group(c.ext)
-    for module in (groups, extension):
-        monkeypatch.setattr(module, "_table_typecode", lambda size: "i")
-    wide = build_group(c.ext)
-    assert wide._table.typecode == "i"
-    assert table_sha256(wide) == table_sha256(narrow) == golden()["p3"][c.label]
-    assert abelian_group([9, 3, 3])._table.typecode == "i"
-    assert quotient(wide, center(wide))._table.typecode == "i"
-    assert FiniteGroup(narrow._table, narrow.size)._table.typecode == "i"
-    assert verify_group_axioms(wide).ok
-    assert wide.inverses == narrow.inverses
-    assert wide.fingerprint_value == narrow.fingerprint_value
-    assert isomorphic(wide, narrow)[0]
