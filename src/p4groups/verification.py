@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .classify import (
     ClassificationError,
@@ -33,7 +32,9 @@ from .classify import (
     verify_prop_no_cyclic,
 )
 from .extension import (
+    _basis,
     _inverse,
+    _relations_problem,
     conjugate_type,
     norm_apply,
     power_substitute,
@@ -206,56 +207,6 @@ def _coset_balance_problem(c) -> str:
         for i in range(p)
     ]
     return "" if len(set(per_coset[1:])) <= 1 else f"per-coset counts {per_coset}"
-
-
-def _relations_problem(t, images, g) -> str:
-    """The first defining relation of type t that the images fail, else "".
-
-    images are indices in g: those of the kernel basis e_1, ..., e_k of t,
-    then that of t's coset generator a.  With b_k the image of e_k and
-    word(y) = b_1^y_1 * ... * b_k^y_k, the relations are b_k^m_k = e,
-    b_j b_k = b_k b_j, a b_k = word(tau(e_k)) a and a^n = word(v); then |g|
-    must be t's order and the images must generate g.
-
-    The relations present t's group: its floor form satisfies them, and they
-    reduce every word to word(x) a^i, so what they present has order |N|*n.
-    By von Dyck's theorem images that pass define a homomorphism onto g,
-    one-to-one as the orders match, given that g is a group (group-axioms).
-    Only g's products are read, never the rank helpers that build tables.
-    """
-    profile = t.profile
-    *kernel, a = images
-    e = g.identity_index
-    names = [f"e{k + 1}" for k in range(profile.rank)]
-
-    def word(y):
-        w = e
-        for b, c in zip(kernel, y.coords):
-            w = g.mul(w, g.power(b, c))
-        return w
-
-    for name, b, m in zip(names, kernel, profile.moduli):
-        if g.power(b, m) != e:
-            return f"{name}^{m} != e"
-    for j, k in combinations(range(len(kernel)), 2):
-        if g.mul(kernel[j], kernel[k]) != g.mul(kernel[k], kernel[j]):
-            return f"{names[j]} {names[k]} != {names[k]} {names[j]}"
-    for name, b, x in zip(names, kernel, _basis(profile)):
-        if g.mul(a, b) != g.mul(word(mat_apply(t.tau, x)), a):
-            return f"a {name} a^-1 != tau({name})"
-    if g.power(a, t.n) != word(t.v):
-        return f"a^{t.n} != v"
-    if t.group_order != g.size:
-        return f"order {t.group_order} != {g.size}"
-    if len(g.closure(images)) != g.size:
-        return "the images do not generate the group"
-    return ""
-
-
-def _basis(profile):
-    """The kernel's basis e_1, ..., e_k, the unit coordinate vectors."""
-    return [profile.element([int(j == k) for j in range(profile.rank)])
-            for k in range(profile.rank)]
 
 
 def _check_transforms(cfg, cands) -> CheckResult:

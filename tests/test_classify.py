@@ -23,9 +23,17 @@ from p4groups.classify import (
     verify_prop_no_cyclic,
 )
 from p4groups import classify, extension, groups
-from p4groups.extension import ExtensionType, build_group
+from p4groups.extension import ExtElement, ExtensionType, _relations_problem, build_group, multiply
 from p4groups.groups import abelian_group, fingerprint, isomorphic, order_census
-from p4groups.residues import MixedModulusMatrix, ModulusProfile, mat_pow
+from p4groups.residues import (
+    MAX_PRIME,
+    AbelianElement,
+    MixedModulusMatrix,
+    ModulusProfile,
+    is_prime,
+    mat_apply,
+    mat_pow,
+)
 from test_acceptance import (
     EXPECTED_TABLE1_P3,
     EXPECTED_TABLE1_P5,
@@ -280,7 +288,10 @@ class TestClassify:
         monkeypatch.setattr(groups, "_table_of_translates", producer)
         monkeypatch.setattr(extension, "_table_of_translates", producer)
         classify_p4(cfg, cands)
-        n = len(cands)
+        # One table per class representative: the p + 2 candidates that
+        # ``_merge_maps`` covers are certified on their target's table.
+        n = len(cands) - (p + 2)
+        assert n == 10
         assert calls == {"FiniteGroup": n, "build_group": n, "abelian_group": 0, "quotient": 0}
 
     def test_row8_absent_only_above_p3(self, result3):
@@ -297,6 +308,195 @@ class TestClassify:
                 ok_ij, _ = isomorphic(groups[i], groups[j])
                 ok_ji, _ = isomorphic(groups[j], groups[i])
                 assert not ok_ij and not ok_ji
+
+
+def map_images(p, images):
+    """Table indices of floor-form images (x1, x2, i) on the mixed kernel."""
+    return [i * p ** 3 + x1 * p + x2 for x1, x2, i in images]
+
+
+def mapped_pairs(cands):
+    """(candidate, target candidate, images) for every map of ``_merge_maps``
+    whose source and target are both among the candidates."""
+    p = cands[0].ext.profile.p
+    names = [name for name, _ in tau_catalog(ClassifyConfig.for_prime(p))]
+    by_type = {(names[c.catalog_pos[0]], c.ext.v.coords): c for c in cands}
+    return [(by_type[key], by_type[target], images)
+            for key, (target, images) in classify._merge_maps(p).items()]
+
+
+def floor_power(t, g, k):
+    """g^k in the floor form of t, by repeated squaring."""
+    out = ExtElement(t.profile.zero(), 0)
+    while k:
+        if k & 1:
+            out = multiply(t, out, g)
+        g, k = multiply(t, g, g), k >> 1
+    return out
+
+
+def floor_relations_problem(src, images, t):
+    """``_relations_problem`` read in the floor form of t with ``multiply``:
+    the first defining relation of src that the images (ExtElements of t)
+    fail, else "".  Generation is shown without a closure: t's group is
+    generated by its e_1, e_2 and a, so it suffices that each is an image,
+    the inverse of one, a^p or a e_1 a^-1 e_1^-1.  Both inverses taken are
+    read off the floor form: (x, a^0)^-1 = (-x, a^0) and (0, a)^-1 =
+    (-v, a^(p-1))."""
+    p = t.profile.p
+    one = ExtElement(t.profile.zero(), 0)
+    *kernel, a = images
+    names = [f"e{k + 1}" for k in range(src.profile.rank)]
+    basis = [AbelianElement(tuple(int(j == k) for j in range(src.profile.rank)), src.profile)
+             for k in range(src.profile.rank)]
+
+    def word(y):
+        w = one
+        for b, c in zip(kernel, y.coords):
+            w = multiply(t, w, floor_power(t, b, c))
+        return w
+
+    for name, b, m in zip(names, kernel, src.profile.moduli):
+        if floor_power(t, b, m) != one:
+            return f"{name}^{m} != e"
+    for j in range(len(kernel)):
+        for k in range(j + 1, len(kernel)):
+            if multiply(t, kernel[j], kernel[k]) != multiply(t, kernel[k], kernel[j]):
+                return f"{names[j]} {names[k]} != {names[k]} {names[j]}"
+    for name, b, x in zip(names, kernel, basis):
+        if multiply(t, a, b) != multiply(t, word(mat_apply(src.tau, x)), a):
+            return f"a {name} a^-1 != tau({name})"
+    if floor_power(t, a, src.n) != word(src.v):
+        return f"a^{src.n} != v"
+    if src.group_order != t.group_order:
+        return f"order {src.group_order} != {t.group_order}"
+    t_e1, t_e2 = (ExtElement(AbelianElement(x, t.profile), 0) for x in ((1, 0), (0, 1)))
+    t_a, t_a_inv = ExtElement(t.profile.zero(), 1), ExtElement(-t.v, p - 1)
+    reached = set(images) | {t_a for g in images if multiply(t, g, t_a) == one}
+    if {t_e1, t_a} <= reached:
+        reached.add(floor_power(t, t_a, p))
+        reached.add(multiply(t, multiply(t, t_a, t_e1),
+                             multiply(t, t_a_inv, ExtElement(-t_e1.x, 0))))
+    if not {t_e1, t_e2, t_a} <= reached:
+        return "the images do not generate the group"
+    return ""
+
+
+def floor_maps(p, edit=lambda p, images: images):
+    """(source type, target type, images as ExtElements of the target) for
+    every map of ``_merge_maps(p)``, its images passed through edit, with
+    the types built from the catalog."""
+    cfg = ClassifyConfig.for_prime(p)
+    catalog = dict(tau_catalog(cfg))
+
+    def ext(key):
+        tau = catalog[key[0]]
+        return ExtensionType(tau.profile, p, tau, AbelianElement(key[1], tau.profile))
+
+    out = []
+    for key, (target, images) in classify._merge_maps(p).items():
+        t = ext(target)
+        out.append((ext(key), t, [ExtElement(AbelianElement((x1, x2), t.profile), i)
+                                  for x1, x2, i in edit(p, images)]))
+    return out
+
+
+def mutate(p, images):
+    """The map with one exponent changed: that of a in the image of e_1."""
+    (x1, x2, i), *rest = images
+    return [(x1, x2, (i + 1) % p), *rest]
+
+
+class TestMergeMaps:
+    """The expected merges are certified by explicit maps, with no table of
+    the merged candidate and no search."""
+
+    @pytest.mark.parametrize("p", [3, 5, pytest.param(7, marks=pytest.mark.slow)])
+    def test_maps_cover_exactly_the_expected_merges(self, p):
+        cands = candidate_types(ClassifyConfig.for_prime(p))
+        sources = {c.label for c, _, _ in mapped_pairs(cands)}
+        assert len(sources) == p + 2
+        assert sources == {c.label for c in cands
+                           if c.label.startswith("3x3-J2-v") and c.label != "3x3-J2-v0"
+                           } | {"2x2-r3-v-e2"}
+
+    @pytest.mark.parametrize("p", [3, 5, pytest.param(7, marks=pytest.mark.slow)])
+    def test_every_map_passes_on_the_representatives_table(self, p):
+        for c, target, images in mapped_pairs(candidate_types(ClassifyConfig.for_prime(p))):
+            assert _relations_problem(c.ext, map_images(p, images), target.group) == "", c.label
+
+    def test_every_formula_holds_in_the_floor_form_at_every_prime(self):
+        primes = [p for p in range(3, MAX_PRIME + 1) if is_prime(p)]
+        checked = 0
+        for p in primes:
+            for src, t, images in floor_maps(p):
+                assert floor_relations_problem(src, images, t) == "", (p, src.v.coords)
+                checked += 1
+        assert checked == sum(p + 2 for p in primes) == 1106
+
+    @pytest.mark.parametrize("p", [3, 5, 97])
+    def test_floor_form_check_rejects_a_changed_exponent(self, p):
+        for src, t, images in floor_maps(p, mutate):
+            assert floor_relations_problem(src, images, t) == "a e1 a^-1 != tau(e1)"
+
+    @pytest.mark.parametrize("p", [3, 97])
+    def test_floor_form_check_rejects_images_that_do_not_generate(self, p):
+        # e3 -> e passes every relation of 3x3-J2-v-e1, but the images then
+        # lie in the subgroup of x2 = 0.
+        src, t, images = floor_maps(p)[0]
+        assert src.v.coords == (1, 0, 0)
+        images[2] = ExtElement(t.profile.zero(), 0)
+        assert floor_relations_problem(src, images, t) == "the images do not generate the group"
+
+    def test_a_changed_exponent_names_the_pair_and_the_relation(self, cfg3, monkeypatch):
+        real = classify._merge_maps
+
+        def changed(p):
+            maps = real(p)
+            target, images = maps["3x3-J2", (1, 0, 0)]
+            maps["3x3-J2", (1, 0, 0)] = target, mutate(p, images)
+            return maps
+        monkeypatch.setattr(classify, "_merge_maps", changed)
+        with pytest.raises(ClassificationError) as info:
+            classify_p4(cfg3, candidate_types(cfg3))
+        assert str(info.value) == "3x3-J2-v-e1 -> 2x2-r2-v0: a e1 a^-1 != tau(e1)"
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_mapped_candidates_get_no_table_and_no_search(self, p, monkeypatch):
+        searches = []
+        real = groups._search_isomorphism
+
+        def counting(g1, g2):
+            searches.append(None)
+            return real(g1, g2)
+        monkeypatch.setattr(groups, "_search_isomorphism", counting)
+        cands = candidate_types(ClassifyConfig.for_prime(p))
+        result = classify_p4(ClassifyConfig.for_prime(p), cands)
+        pairs = mapped_pairs(cands)
+        assert len(pairs) == p + 2
+        for c, _, _ in pairs:
+            assert "group" not in c.__dict__, c.label
+        assert searches == []
+        assert result.nonabelian_count == 10
+
+    def test_a_missing_target_sends_its_sources_to_the_search(self, cfg3, monkeypatch):
+        searches = []
+        real = groups._search_isomorphism
+
+        def counting(g1, g2):
+            searches.append(None)
+            return real(g1, g2)
+        monkeypatch.setattr(groups, "_search_isomorphism", counting)
+        cands = [c for c in candidate_types(cfg3) if c.label != "2x2-r3-v0"]
+        result = classify_p4(cfg3, cands)
+        merged = {c.label: c.merged_labels for c in result.nonabelian_classes}
+        assert merged["3x3-J2-v-e3"] == ("3x3-J2-v1_0_1", "3x3-J2-v1_0_2")
+        assert merged["2x2-r2-v0"] == ("3x3-J2-v-e1",)
+        assert len(searches) == 2
+        by_label = {c.label: c for c in cands}
+        for label in ("3x3-J2-v-e3", "3x3-J2-v1_0_1", "3x3-J2-v1_0_2"):
+            assert "group" in by_label[label].__dict__
+        assert "group" not in by_label["3x3-J2-v-e1"].__dict__
 
 
 class TestStructuralProperties:

@@ -428,11 +428,12 @@ class TestVerifyCommand:
             "2x2-r1-v0 shift_generator: its map is not an isomorphism (a^5 != v)")
 
     def test_transforms_run_no_isomorphism_search(self, capsys, monkeypatch):
-        # 52 calls: 50 from classify_p4's same_class and 2 from the pair
-        # checks.  classify_p4 certifies the 60 pairs that include an
-        # abelian class by a fingerprint field, without the oracle;
-        # emit_table2 makes none, and the transform trials check their own
-        # maps instead.
+        # 47 calls: 45 from classify_p4's same_class, one per pair of its
+        # 10 nonabelian classes, and 2 from the pair checks.  classify_p4
+        # certifies its 5 expected merges by explicit maps and the 60 pairs
+        # that include an abelian class by a fingerprint field, without the
+        # oracle; emit_table2 makes none, and the transform trials check
+        # their own maps instead.
         calls = []
 
         def counting(g1, g2):
@@ -442,7 +443,7 @@ class TestVerifyCommand:
             monkeypatch.setattr(module, "isomorphic", counting)
         code, _, _ = run(capsys, "verify", "--p", "3")
         assert code == 0
-        assert len(calls) == 52
+        assert len(calls) == 47
 
     def test_one_build_per_candidate(self, capsys, monkeypatch):
         # 15 candidates: the per-candidate checks, the Table 2 rows,
