@@ -4,11 +4,12 @@ The pipeline enumerates candidate extension types (a fixed catalog of seven
 kernel automorphisms, each with its computed list of candidate fixed elements
 v), each of which owns its group, built on first use.  A candidate that an
 expected merge covers joins its class by an explicit map, checked on the
-representative's table (``_merge_maps``); the others are deduplicated by
-fingerprint, then twist count, then the isomorphism oracle.
-The five abelian groups are appended from their invariant-factor chains,
-with closed-form fingerprints and no tables.  The expected outcome, asserted
-at the end of every run, is 10 nonabelian classes and 5 abelian ones.
+representative's table (``_merge_maps``); every other candidate is a class
+of its own.  The five abelian groups are appended from their invariant-factor
+chains, with closed-form fingerprints and no tables.  The expected outcome,
+asserted at the end of every run, is 10 nonabelian classes and 5 abelian
+ones, told apart pairwise by fingerprint or twist count, with no
+isomorphism search.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .extension import ExtensionType, _relations_problem, build_group
 from .groups import (
@@ -27,7 +28,6 @@ from .groups import (
     abelian_invariants,
     center,
     fingerprint,
-    isomorphic,
     least_prime_factor,
 )
 from .residues import (
@@ -272,10 +272,11 @@ def abelian_fingerprint(chain: Sequence[int]) -> Fingerprint:
 class GroupClass:
     """One isomorphism class in a classification result.
 
-    ``source`` is the representative candidate of a nonabelian class, or the
-    invariant chain of an abelian one.  ``group`` is the candidate's table,
-    or ``abelian_group(chain)`` built when first read; ``classify_p4`` reads
-    no abelian class's group.
+    ``source`` is the representative of a nonabelian class, its one member
+    without a map in ``_merge_maps``, or the invariant chain of an abelian
+    one.  ``merged_labels`` are the mapped members, in catalog order.
+    ``group`` is the representative's table, or ``abelian_group(chain)``
+    built when first read; ``classify_p4`` reads no abelian class's group.
     """
 
     label: str
@@ -333,78 +334,48 @@ def classify_p4(cfg: ClassifyConfig, candidates: Sequence[CandidateType]) -> Cla
     """Run the full classification for one odd prime over its catalog
     candidates, ``candidate_types(cfg)``, whose groups it builds or reuses.
 
-    A candidate with a map in ``_merge_maps`` whose target is among the
-    candidates joins the target's class once the map passes
+    The candidates are taken in catalog order.  One with a map in
+    ``_merge_maps`` joins the class of the map's target once the map passes
     ``_relations_problem`` on the target's table (von Dyck's theorem), and
-    gets no table of its own; a map that fails raises ClassificationError.
-    The other candidates are folded in label order: one joins the first
-    class whose fingerprint matches and whose representative the oracle
-    certifies isomorphic, otherwise it opens a new class.  The five abelian
-    classes take closed-form fingerprints from their chains, so the run
-    builds one table per unmapped candidate and no other.  It then asserts
-    the counts and certifies all final classes pairwise non-isomorphic: two
-    nonabelian classes by the oracle, an abelian class and a nonabelian one
-    by ``derived_order``, and two abelian classes by their chains, which
-    differ (the fundamental theorem of finite abelian groups).
+    gets no table of its own; a map that fails, or a target that is not
+    among the candidates, raises ClassificationError.  Every other candidate
+    is a class of its own, represented by itself.  The five abelian classes
+    take closed-form fingerprints from their chains, so the run builds one
+    table per unmapped candidate and no other.  After the counts are
+    asserted, every pair of classes is certified non-isomorphic by a
+    fingerprint field that differs, or, for two nonabelian classes with
+    equal fingerprints, by their twist counts (``FiniteGroup.twist_count``).
+    A pair that neither separates raises ClassificationError; no
+    isomorphism search runs.
     """
-    cands = sorted(candidates, key=lambda c: c.label)
-    verdicts: dict[tuple[str, str], bool] = {}
-
-    def same_class(a: CandidateType | GroupClass, b: CandidateType | GroupClass) -> bool:
-        # Memoized by label: a pair of representatives that the merge loop
-        # compared comes back in the final pairwise certification.  With the
-        # expected merges mapped, the loop compares only pairs that no
-        # fingerprint field separates (at p = 5, one twist-count rejection),
-        # and the memo keeps any search from running twice.
-        key = (a.label, b.label)
-        if key not in verdicts:
-            verdicts[key] = verdicts[key[::-1]] = isomorphic(a.group, b.group)[0]
-        return verdicts[key]
-
     tau_names = [name for name, _ in tau_catalog(cfg)]
-    keys = [(tau_names[c.catalog_pos[0]], c.ext.v.coords) for c in cands]
-    by_type = dict(zip(keys, cands))
     maps = _merge_maps(cfg.p)
-    mapped = []
-    class_members: list[list[CandidateType]] = []
-    for key, cand in zip(keys, cands):
-        target, images = maps.get(key, (None, None))
-        if target in by_type:
-            mapped.append((cand, by_type[target], images))
-            continue
-        fp = fingerprint(cand.group)
-        placed = False
-        for members in class_members:
-            if fingerprint(members[0].group) == fp and same_class(members[0], cand):
-                members.append(cand)
-                placed = True
-                break
-        if not placed:
-            class_members.append([cand])
     p = cfg.p
-    for cand, target, images in mapped:
+    class_members: dict[tuple, list[CandidateType]] = {}  # keyed like _merge_maps
+    for cand in sorted(candidates, key=lambda c: c.catalog_pos):
+        key = (tau_names[cand.catalog_pos[0]], cand.ext.v.coords)
+        if key not in maps:
+            class_members[key] = [cand]
+            continue
+        target, images = maps[key]
+        if target not in class_members:
+            raise ClassificationError(
+                f"{cand.label}: merge target {target[0]} v={target[1]} is not a candidate")
+        members = class_members[target]
         problem = _relations_problem(
-            cand.ext, [i * p ** 3 + x1 * p + x2 for x1, x2, i in images], target.group)
+            cand.ext, [i * p ** 3 + x1 * p + x2 for x1, x2, i in images], members[0].group)
         if problem:
-            raise ClassificationError(f"{cand.label} -> {target.label}: {problem}")
-        next(m for m in class_members if target in m).append(cand)
+            raise ClassificationError(f"{cand.label} -> {members[0].label}: {problem}")
+        members.append(cand)
 
-    # Representative = catalog-first member, so classes read like the table.
-    normalized: list[tuple[CandidateType, list[CandidateType]]] = []
-    for members in class_members:
-        rep = min(members, key=lambda c: c.catalog_pos)
-        rest = sorted((c for c in members if c is not rep), key=lambda c: c.catalog_pos)
-        normalized.append((rep, rest))
-    normalized.sort(key=lambda pair: pair[0].catalog_pos)
-
-    if len(normalized) != 10:
+    if len(class_members) != 10:
         raise ClassificationError(
-            f"expected 10 nonabelian classes at p={cfg.p}, found {len(normalized)}:\n"
-            + _describe_classes(normalized)
+            f"expected 10 nonabelian classes at p={cfg.p}, found {len(class_members)}:\n"
+            + _describe_classes(class_members.values())
         )
 
     classes: list[GroupClass] = []
-    for rep, rest in normalized:
+    for rep, *rest in class_members.values():
         classes.append(
             GroupClass(
                 label=rep.label,
@@ -433,26 +404,25 @@ def classify_p4(cfg: ClassifyConfig, candidates: Sequence[CandidateType]) -> Cla
     if len(abelian) != 5:
         raise ClassificationError(f"expected 5 abelian groups, found {len(abelian)}")
 
-    def apart(a: GroupClass, b: GroupClass) -> bool:
-        if a.kind == b.kind == "nonabelian":
-            return not same_class(a, b)
-        # An abelian class has derived order 1 and a nonabelian one more;
-        # two abelian classes are apart when their invariant chains differ.
-        certificate = "derived_order" if a.kind != b.kind else "abelianization_invariants"
-        return getattr(a.fingerprint, certificate) != getattr(b.fingerprint, certificate)
-
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if not apart(classes[i], classes[j]):
-                raise ClassificationError(
-                    f"classes {classes[i].label} and {classes[j].label} are isomorphic"
-                )
+    # Abelian classes differ from nonabelian ones in derived_order and from
+    # each other in their chains, so only two nonabelian classes can need
+    # the twist count.
+    for i, a in enumerate(classes):
+        for b in classes[i + 1 :]:
+            if a.fingerprint != b.fingerprint:
+                continue
+            if a.kind == b.kind == "nonabelian" and a.group.twist_count != b.group.twist_count:
+                continue
+            raise ClassificationError(
+                f"classes {a.label} and {b.label} are told apart by neither "
+                "fingerprint nor twist count"
+            )
 
     return ClassificationResult(
         p=cfg.p,
         classes=tuple(classes),
         abelian_count=len(abelian),
-        nonabelian_count=len(normalized),
+        nonabelian_count=len(class_members),
     )
 
 
@@ -477,9 +447,9 @@ def _merge_maps(p: int) -> dict:
     return maps
 
 
-def _describe_classes(normalized: list[tuple[CandidateType, list[CandidateType]]]) -> str:
+def _describe_classes(class_members: Iterable[list[CandidateType]]) -> str:
     lines = []
-    for rep, rest in normalized:
+    for rep, *rest in class_members:
         fp = fingerprint(rep.group)
         merged = (" <- " + ", ".join(c.label for c in rest)) if rest else ""
         lines.append(f"  {rep.label}{merged}  {fp.to_json_dict()}")
@@ -561,8 +531,8 @@ def emit_table1(cfg: ClassifyConfig) -> list[Table1Row]:
     """Fixed subgroup, norm matrix, norm image, and v choices per catalog tau.
 
     The printed v column for the 3x3-J2 row is just the zero vector: its
-    nonzero candidates reproduce groups of classes already listed, which the
-    classification run certifies by explicit maps (``_merge_maps``).
+    nonzero candidates reproduce groups of classes already listed, and each
+    joins its class by an explicit map (``_merge_maps``).
     """
     rows = []
     for tau_name, tau in tau_catalog(cfg):
@@ -589,9 +559,8 @@ def emit_table2(
 ) -> list[Table2Row]:
     """Center type and order-<=p census for the 10 applicable (tau, v) rows.
 
-    The rows are the catalog candidates less the nonzero v of 3x3-J2, which
-    reproduce earlier classes, and of 2x2-r3, which share the class of 2x2-r2
-    with the matching v.  Centers are computed from the fixed subgroup of tau
+    The rows are the catalog candidates less those keyed in ``_merge_maps``,
+    which join an earlier class.  Centers are computed from the fixed subgroup of tau
     and re-verified against the center of the built group; the census closed
     form is re-verified against a brute-force count.  Given the run's
     candidates, ``candidate_types(cfg)``, each row reads its candidate's
@@ -599,10 +568,11 @@ def emit_table2(
     its row, so one row table at a time is alive.
     """
     tau_names = [name for name, _ in tau_catalog(cfg)]
+    merged = _merge_maps(cfg.p)
     rows = []
     for c in candidate_types(cfg) if candidates is None else candidates:
         tau_name, t = tau_names[c.catalog_pos[0]], c.ext
-        if tau_name in ("3x3-J2", "2x2-r3") and not t.v.is_zero():
+        if (tau_name, t.v.coords) in merged:
             continue
         invariants = _tau_kernel(t.tau).fixed.invariant_factors()
         census = census_closed_form(t)

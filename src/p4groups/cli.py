@@ -30,7 +30,7 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NOT_ISOMORPHIC = 3
 
-CLASSIFY_GUARD = 7  # oracle-based dedup above 7^4 elements is not desk-scale
+CLASSIFY_GUARD = 7  # classify keeps 10 tables of p^8 two-byte entries: 4.3 GB at p = 11
 
 
 class CliError(Exception):

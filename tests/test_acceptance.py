@@ -50,7 +50,7 @@ def assert_checks_ok(suite, *names, primes=(3, 5)):
 
 def test_criterion_1_classification_counts(suite):
     with criterion(1, "15 classes (5 abelian, 10 nonabelian) at p=3 and p=5, "
-                      "pairwise non-isomorphic by oracle"):
+                      "pairwise non-isomorphic by fingerprint or twist count"):
         # classify_p4 certifies every pair of classes non-isomorphic.
         assert_checks_ok(suite, "classification-counts")
 

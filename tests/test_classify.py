@@ -461,7 +461,7 @@ class TestMergeMaps:
             classify_p4(cfg3, candidate_types(cfg3))
         assert str(info.value) == "3x3-J2-v-e1 -> 2x2-r2-v0: a e1 a^-1 != tau(e1)"
 
-    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("p", [3, 5, pytest.param(7, marks=pytest.mark.slow)])
     def test_mapped_candidates_get_no_table_and_no_search(self, p, monkeypatch):
         searches = []
         real = groups._search_isomorphism
@@ -479,24 +479,28 @@ class TestMergeMaps:
         assert searches == []
         assert result.nonabelian_count == 10
 
-    def test_a_missing_target_sends_its_sources_to_the_search(self, cfg3, monkeypatch):
-        searches = []
-        real = groups._search_isomorphism
-
-        def counting(g1, g2):
-            searches.append(None)
-            return real(g1, g2)
-        monkeypatch.setattr(groups, "_search_isomorphism", counting)
+    def test_a_missing_target_names_the_mapped_candidate(self, cfg3):
         cands = [c for c in candidate_types(cfg3) if c.label != "2x2-r3-v0"]
-        result = classify_p4(cfg3, cands)
-        merged = {c.label: c.merged_labels for c in result.nonabelian_classes}
-        assert merged["3x3-J2-v-e3"] == ("3x3-J2-v1_0_1", "3x3-J2-v1_0_2")
-        assert merged["2x2-r2-v0"] == ("3x3-J2-v-e1",)
-        assert len(searches) == 2
-        by_label = {c.label: c for c in cands}
-        for label in ("3x3-J2-v-e3", "3x3-J2-v1_0_1", "3x3-J2-v1_0_2"):
-            assert "group" in by_label[label].__dict__
-        assert "group" not in by_label["3x3-J2-v-e1"].__dict__
+        with pytest.raises(ClassificationError) as info:
+            classify_p4(cfg3, cands)
+        assert str(info.value) == (
+            "3x3-J2-v-e3: merge target 2x2-r3 v=(0, 0) is not a candidate")
+
+    def test_a_tie_in_fingerprint_and_twist_count_is_an_error(self, cfg3, cands3, result3,
+                                                              monkeypatch):
+        # With one fingerprint for every nonabelian group, only the twist
+        # count separates classes: the first pair in class order that it
+        # does not separate must be reported, not searched.
+        same = fingerprint(cands3[0].group)
+        monkeypatch.setattr(classify, "fingerprint", lambda g: same)
+        reps = result3.nonabelian_classes
+        a, b = next((a, b) for i, a in enumerate(reps) for b in reps[i + 1:]
+                    if a.group.twist_count == b.group.twist_count)
+        with pytest.raises(ClassificationError) as info:
+            classify_p4(cfg3, cands3)
+        assert str(info.value) == (
+            f"classes {a.label} and {b.label} are told apart by neither "
+            "fingerprint nor twist count")
 
 
 class TestStructuralProperties:

@@ -428,22 +428,21 @@ class TestVerifyCommand:
             "2x2-r1-v0 shift_generator: its map is not an isomorphism (a^5 != v)")
 
     def test_transforms_run_no_isomorphism_search(self, capsys, monkeypatch):
-        # 47 calls: 45 from classify_p4's same_class, one per pair of its
-        # 10 nonabelian classes, and 2 from the pair checks.  classify_p4
-        # certifies its 5 expected merges by explicit maps and the 60 pairs
-        # that include an abelian class by a fingerprint field, without the
-        # oracle; emit_table2 makes none, and the transform trials check
-        # their own maps instead.
+        # 2 calls, both from the pair checks.  classify_p4 does not import
+        # the oracle: it certifies its 5 expected merges by explicit maps and
+        # its 105 pairs of classes by fingerprint or twist count.
+        # emit_table2 makes none, and the transform trials check their own
+        # maps instead.
         calls = []
 
         def counting(g1, g2):
             calls.append(None)
             return groups.isomorphic(g1, g2)
-        for module in (classify, verification):
-            monkeypatch.setattr(module, "isomorphic", counting)
+        assert not hasattr(classify, "isomorphic")
+        monkeypatch.setattr(verification, "isomorphic", counting)
         code, _, _ = run(capsys, "verify", "--p", "3")
         assert code == 0
-        assert len(calls) == 47
+        assert len(calls) == 2
 
     def test_one_build_per_candidate(self, capsys, monkeypatch):
         # 15 candidates: the per-candidate checks, the Table 2 rows,

@@ -24,6 +24,11 @@ BENCH_REFERENCE = Path(__file__).parent.parent / "p4bench" / "reference"
         (["verify", "--p", "5", "--seed", "0"], "verify-p5.txt"),
         pytest.param(["classify", "--p", "7", "--format", "json"], "classify-p7.json",
                      marks=pytest.mark.slow),
+        (["classify", "--p", "3", "--format", "table"], "classify-p3.txt"),
+        (["tables", "--p", "5"], "tables-p5.txt"),
+        pytest.param(["classify", "--p", "7", "--format", "table"], "classify-p7.txt",
+                     marks=pytest.mark.slow),
+        pytest.param(["tables", "--p", "7"], "tables-p7.txt", marks=pytest.mark.slow),
     ],
 )
 def test_output_matches_golden(capsys, argv, name):
