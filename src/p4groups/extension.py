@@ -234,6 +234,11 @@ def _relations_problem(t, images, g) -> str:
     one-to-one as the orders match, given that g is a group (verify's
     group-axioms check).  Only g's products are read, never the rank helpers
     that build tables.
+
+    Generation is checked last, on the words word(y) a^i (``_words``): once
+    the relations hold in a group, they are the subgroup the images
+    generate, so they must cover g.  On any table each word lies in the
+    right closure of the images from e, so a table they cover is generated.
     """
     profile = t.profile
     *kernel, a = images
@@ -259,9 +264,24 @@ def _relations_problem(t, images, g) -> str:
         return f"a^{t.n} != v"
     if t.group_order != g.size:
         return f"order {t.group_order} != {g.size}"
-    if len(g.closure(images)) != g.size:
+    if len(set(_words(t, images, g))) != g.size:
         return "the images do not generate the group"
     return ""
+
+
+def _words(t, images, g) -> list[int]:
+    """word(y) a^i in g for every y in t's kernel and 0 <= i < t.n, images
+    as in ``_relations_problem``: from [e], each image b of order m (m_k for
+    e_k, n for a) appends m - 1 right multiples of what is there, each one
+    gather of b's column of the table."""
+    words = [g.identity_index]
+    for b, m in zip(images, (*t.profile.moduli, t.n)):
+        column = g._table[b :: g.size]
+        layer = words
+        for _ in range(m - 1):
+            layer = _gather(column, layer)
+            words += layer
+    return words
 
 
 def _basis(profile):

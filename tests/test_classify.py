@@ -458,6 +458,24 @@ class TestMergeMaps:
         images[2] = ExtElement(t.profile.zero(), 0)
         assert floor_relations_problem(src, images, t) == "the images do not generate the group"
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_words_are_the_closure_of_the_images(self, p):
+        for c, target, images in mapped_pairs(candidate_types(ClassifyConfig.for_prime(p))):
+            g, images = target.build(), map_images(p, images)
+            assert set(extension._words(c.ext, images, g)) == set(g.closure(images)), c.label
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_table_check_rejects_images_that_do_not_generate(self, p):
+        # As in the floor form: e3 -> e passes every relation of
+        # 3x3-J2-v-e1, and the images span only the subgroup of x2 = 0.
+        c, target, images = mapped_pairs(candidate_types(ClassifyConfig.for_prime(p)))[0]
+        assert c.ext.v.coords == (1, 0, 0)
+        g, images = target.build(), map_images(p, images)
+        images[2] = g.identity_index
+        words = set(extension._words(c.ext, images, g))
+        assert words == set(g.closure(images)) and len(words) == p ** 3
+        assert _relations_problem(c.ext, images, g) == "the images do not generate the group"
+
     def test_a_changed_exponent_names_the_pair_and_the_relation(self, cfg3, monkeypatch):
         real = classify._merge_maps
 

@@ -11,6 +11,7 @@ from p4groups.extension import (
     ExtensionType,
     _linear_ranks,
     _relations_problem,
+    _words,
     build_group,
     conjugate_type,
     multiply,
@@ -349,6 +350,17 @@ class TestTransformTrialMaps:
                 ix = img[x]
                 assert [img[new.mul(x, y)] for y in range(size)] == [
                     base.mul(ix, img[y]) for y in range(size)], (op_name, x)
+
+    @pytest.mark.parametrize("cand", P3_CANDIDATES, ids=lambda c: c.label)
+    def test_words_are_the_closure_of_the_images(self, cand):
+        # The generation check's words, gathered column by column, are the
+        # words of word_map and span the images' closure.
+        g = cand.build()
+        for op_name, op, images in _transform_trials(cand.ext, g, 5):
+            t = op()
+            words = _words(t, images, g)
+            assert sorted(words) == sorted(word_map(t, images, g)), op_name
+            assert set(words) == set(g.closure(images)), op_name
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_no_trial_is_the_identity_above_p3(self, p):

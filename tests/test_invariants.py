@@ -27,7 +27,7 @@ from p4groups.groups import (
     AxiomReport,
     FiniteGroup,
     Subgroup,
-    _first_nonassociative,
+    _associates_through,
     _generator_commutators,
     _respects_generators,
     _twist_count,
@@ -487,9 +487,71 @@ def test_failure_with_a_middle_factor_outside_the_generators():
     table[1 * 5 + 1] = 0
     g = FiniteGroup(table, 5)
     assert g.generating_sequence == (2,)
-    assert _first_nonassociative(g._table, 5, g.generating_sequence) is not None
+    assert not _associates_through(g._table, 5, 2)
     assert verify_group_axioms(g) == AxiomReport(False, ("associativity", (1, 1, 2)))
     assert verify_group_axioms(g) == brute_axiom_report(g)
+
+
+def associates_through_by_triples(t, n, a):
+    """(x*a)*y == x*(a*y) for every x and y, one triple at a time."""
+    return all(t[t[x * n + a] * n + y] == t[x * n + t[a * n + y]]
+               for x in range(n) for y in range(n))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: groups_module.abelian_group([3, 3]), symmetric_group_3], ids=["C3xC3", "S3"]
+)
+def test_light_check_matches_the_triples_on_every_single_entry_corruption(make):
+    g = make()
+    n = g.size
+    table = list(g._table)
+    for pos, right in enumerate(table):
+        for wrong in range(n):
+            if wrong != right:
+                t = FiniteGroup(table[:pos] + [wrong] + table[pos + 1 :], n)._table
+                for a in range(n):
+                    assert _associates_through(t, n, a) == associates_through_by_triples(t, n, a), (
+                        pos, wrong, a)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    candidate=st.sampled_from(CANDIDATES3),
+    edits=st.lists(st.tuples(st.integers(0, 81 * 81 - 1), st.integers(0, 80)), max_size=4),
+    extra=st.integers(0, 80),
+)
+def test_light_check_matches_the_triples_on_corrupted_candidates(candidate, edits, extra):
+    # The middles are the candidate's generators, which Light's test reads,
+    # and one more element, the identity among them at times.
+    _, g = candidate
+    table = list(g._table)
+    for pos, value in edits:
+        table[pos] = value
+    t = FiniteGroup(table, 81)._table
+    gens = (*g.generating_sequence, extra)
+    assert (all(_associates_through(t, 81, a) for a in gens)
+            == all(associates_through_by_triples(t, 81, a) for a in gens))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("x, block", [(53, 0), (61, 1), (2400, 44)],
+                         ids=["first-block", "interior-boundary", "last-partial-block"])
+def test_light_check_reads_every_block_at_p7(x, block):
+    # At n = 2401 the rows fall into blocks of 54, the last of 25.  Entry
+    # (x, e) moved breaks (x*a)*y = x*(a*y) in row x and in the row r with
+    # r*a = x, and nowhere else; for a = 7 both lie in the given block: rows
+    # 46 and 53 end the first block, rows 54 and 61 open the second.
+    g = next(c for c in candidate_types(ClassifyConfig.for_prime(7)) if c.label == "2x2-r1-v0").build()
+    n, a = g.size, 7
+    step = groups_module._LIGHT_BLOCK // n
+    assert (step, n % step) == (54, 25) and a in g.generating_sequence
+    t = g._table
+    assert _associates_through(t, n, a)
+    rows = [x, *(r for r in range(n) if t[r * n + a] == x)]
+    assert len(rows) == 2 and {r // step for r in rows} == {block}
+    t = t[:]
+    t[x * n] = (x + 1) % n
+    assert not _associates_through(t, n, a)
 
 
 def test_magma_whose_element_orders_raise_gets_a_report():
