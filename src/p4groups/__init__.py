@@ -22,7 +22,6 @@ from .groups import (
     abelian_group,
     abelian_invariants,
     center,
-    cyclic_group,
     derived_subgroup,
     element_order,
     fingerprint,

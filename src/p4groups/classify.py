@@ -24,7 +24,6 @@ from .extension import ExtensionType, _relations_problem, build_group
 from .groups import (
     FiniteGroup,
     Fingerprint,
-    Subgroup,
     abelian_group,
     abelian_invariants,
     center,
@@ -34,6 +33,7 @@ from .groups import (
 from .residues import (
     MAX_PRIME,
     AbelianElement,
+    KernelSubgroup,
     MixedModulusMatrix,
     ModulusProfile,
     SHAPE_ELEMENTARY,
@@ -118,42 +118,25 @@ class _TauKernel:
     """What the tables, the v candidates and the census read off one tau:
     its fixed subgroup, its norm matrix for n = p and the norm image."""
 
-    fixed: Subgroup
+    fixed: KernelSubgroup
     norm: MixedModulusMatrix
-    image: Subgroup
+    image: KernelSubgroup
 
     @cached_property
     def v_choices(self) -> tuple[AbelianElement, ...]:
-        """The v candidates of tau; see ``v_candidates``."""
-        fixed, image = self.fixed, self.image
+        """The v candidates of tau; see ``v_candidates``.  Scaling by a unit u
+        permutes the cosets of the image, so the orbit of x + image is the set
+        of u*x + h.  It needs u mod p only: p*x = N(x) lies in the image for a
+        fixed x.  Taken in rank order, each fixed element that no earlier orbit
+        covers is its own orbit's least member."""
         profile = self.norm.profile
-        p = profile.p
-        kernel = fixed.parent  # elements are ranks; the least rank has the least coordinates
-
-        cosets: list[frozenset[int]] = []
-        assigned: set[int] = set()
-        for x in fixed.elements:
-            if x in assigned:
-                continue
-            coset = frozenset(kernel.mul(x, h) for h in image.elements)
-            cosets.append(coset)
-            assigned.update(coset)
-
-        coset_of = {x: idx for idx, coset in enumerate(cosets) for x in coset}
-        units = [u for u in range(1, p * p) if u % p != 0]
-
+        image = [profile.element_of(h) for h in self.image.elements]
         reps: list[AbelianElement] = []
-        consumed: set[int] = set()
-        for idx, coset in enumerate(cosets):
-            if idx in consumed:
-                continue
-            pivot = min(coset)
-            orbit_members: set[int] = set()
-            for u in units:
-                scaled = coset_of[kernel.power(pivot, u)]
-                consumed.add(scaled)
-                orbit_members.update(cosets[scaled])
-            reps.append(profile.element(profile.coords_of(min(orbit_members))))
+        covered: set[AbelianElement] = set()
+        for x in map(profile.element_of, self.fixed.elements):
+            if x not in covered:
+                reps.append(x)
+                covered.update(x.scale(u) + h for u in range(1, profile.p) for h in image)
         return tuple(reps)
 
 
@@ -230,7 +213,7 @@ def census_closed_form(t: ExtensionType) -> int:
         raise ValueError("closed-form census requires quotient order n = p")
     base = p * p if t.profile.shape == SHAPE_MIXED else p ** 3
     image = _tau_kernel(t.tau).image
-    if t.v.rank() in image:
+    if t.v.rank() in image.elements:
         return base + (p - 1) * (t.profile.order // image.order)
     return base
 
@@ -542,9 +525,9 @@ def verify_prop_no_cyclic(g: FiniteGroup) -> bool:
 class Table1Row:
     tau_label: str
     tau: MixedModulusMatrix
-    fixed_subgroup: Subgroup
+    fixed_subgroup: KernelSubgroup
     norm: MixedModulusMatrix
-    image: Subgroup
+    image: KernelSubgroup
     v_choices: tuple[AbelianElement, ...]
 
 
@@ -619,9 +602,9 @@ def _fmt_vec(coords: Sequence[int]) -> str:
     return "(" + ",".join(map(str, coords)) + ")"
 
 
-def _fmt_gens(s: Subgroup, profile: ModulusProfile) -> str:
+def _fmt_gens(s: KernelSubgroup) -> str:
     """Generators of a kernel subgroup as coordinates; the trivial one as <0>."""
-    return "<" + ", ".join(_fmt_vec(profile.coords_of(g)) for g in s.generators or (0,)) + ">"
+    return "<" + ", ".join(_fmt_vec(s.profile.coords_of(g)) for g in s.generators or (0,)) + ">"
 
 
 def render_table1(cfg: ClassifyConfig) -> str:
@@ -629,9 +612,9 @@ def render_table1(cfg: ClassifyConfig) -> str:
     rows = [
         [
             f"{row.tau_label} {_fmt_matrix(row.tau)}",
-            _fmt_gens(row.fixed_subgroup, row.tau.profile),
+            _fmt_gens(row.fixed_subgroup),
             _fmt_matrix(row.norm),
-            _fmt_gens(row.image, row.tau.profile),
+            _fmt_gens(row.image),
             "{" + ", ".join(_fmt_vec(v.coords) for v in row.v_choices) + "}",
         ]
         for row in emit_table1(cfg)

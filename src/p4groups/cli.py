@@ -68,7 +68,7 @@ def _guarded_group(path: str, force: bool) -> FiniteGroup:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             ext = ExtensionType.from_json_dict(json.load(fh))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise CliError(f"{path}: {exc}", EXIT_FAILURE) from exc
     if ext.group_order > CLASSIFY_GUARD ** 4 and not force:
         raise CliError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product
 from operator import add, eq, itemgetter, lt
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 
 def _gather(seq: Sequence[int], idx: Sequence[int]) -> tuple[int, ...]:
@@ -252,7 +252,7 @@ class FiniteGroup:
     def generating_sequence(self) -> tuple[int, ...]:
         """Greedy generating sequence (highest order first), pruned so that no
         member is redundant; irredundant sets in p-groups have minimal size."""
-        return _small_generating_subset(self, range(self.size))
+        return _small_generating_subset(self.element_orders, range(self.size), self.closure)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -406,10 +406,6 @@ def _rotated(row: array, shift: int, width: int) -> array:
     return out
 
 
-def cyclic_group(n: int) -> FiniteGroup:
-    return abelian_group([n])
-
-
 def abelian_group(moduli: Sequence[int]) -> FiniteGroup:
     """Direct product of cyclic groups of the given orders.
 
@@ -450,9 +446,6 @@ class Subgroup:
 
     def is_abelian(self) -> bool:
         return _pairwise_commute(self.parent, self.generators)
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        return abelian_invariants(self)
 
 
 @dataclass(frozen=True)
@@ -583,12 +576,14 @@ def center(g: FiniteGroup) -> Subgroup:
             row, col = _gather(t[s * n : (s + 1) * n], central), _gather(t[s::n], central)
             central = list(compress(central, map(eq, row, col)))
     central = tuple(central)
-    return Subgroup(g, central, _small_generating_subset(g, central))
+    return Subgroup(g, central, _small_generating_subset(g.element_orders, central, g.closure))
 
 
-def _small_generating_subset(g: FiniteGroup, elements: Sequence[int]) -> tuple[int, ...]:
+def _small_generating_subset(orders: Mapping[int, int] | Sequence[int], elements: Sequence[int],
+                             closure: Callable[[list[int]], Collection[int]]) -> tuple[int, ...]:
     """Greedy generating subset of a known subgroup's element list, pruned so
-    that no member is redundant.
+    that no member is redundant.  ``orders[x]`` is the order of x, and
+    ``closure(gens)`` the subgroup gens generate, in a table or in coordinates.
 
     Each step adds the highest-order element (least index among equals) not
     yet in the closure.  Dropping a member never makes an earlier one
@@ -598,20 +593,16 @@ def _small_generating_subset(g: FiniteGroup, elements: Sequence[int]) -> tuple[i
     target = len(elements)
     if target <= 1:
         return ()
-    orders = g.element_orders
     preference = sorted(elements, key=lambda i: (-orders[i], i))
     gens: list[int] = []
-    span = {g.identity_index}
+    span: Collection[int] = ()
     while len(span) < target:
         gens.append(next(x for x in preference if x not in span))
-        span = set(g.closure(gens))
-    i = 0
-    while i < len(gens):
-        rest = gens[:i] + gens[i + 1 :]
-        if len(g.closure(rest)) == target:
+        span = set(closure(gens))
+    for x in list(gens):
+        rest = [y for y in gens if y != x]
+        if len(closure(rest)) == target:
             gens = rest
-        else:
-            i += 1
     return tuple(gens)
 
 
@@ -626,7 +617,7 @@ def _conjugates(g: FiniteGroup, xs: Iterable[int]) -> set[int]:
 def derived_subgroup(g: FiniteGroup) -> Subgroup:
     """Commutator subgroup, on the elements ``FiniteGroup.derived_elements``."""
     elements = tuple(sorted(g.derived_elements))
-    return Subgroup(g, elements, _small_generating_subset(g, elements))
+    return Subgroup(g, elements, _small_generating_subset(g.element_orders, elements, g.closure))
 
 
 def invariant_factors_from_orders(orders: Sequence[int]) -> tuple[int, ...]:

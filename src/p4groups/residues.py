@@ -5,17 +5,18 @@ Automorphisms are integer matrices acting on column vectors, with each row
 reduced by its own modulus: row i lives modulo ``moduli[i]``.  The two
 supported coordinate profiles are (p^2, p) and (p, p, p).  Everything here is
 exact integer arithmetic; no floating point, no external linear algebra.
-Fixed points and norm images are subgroups of the kernel group
-``abelian_group(profile.moduli)``, whose element indices are coordinate ranks.
+Fixed points and norm images are ``KernelSubgroup``s: element ranks and
+generators worked out in coordinates, with no Cayley table of the kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .groups import Subgroup, _small_generating_subset, abelian_group, prime_factors
+from .groups import _small_generating_subset, invariant_factors_from_orders, prime_factors
 
 MAX_PRIME = 97
 
@@ -83,6 +84,16 @@ class ModulusProfile:
             rank //= m
         return tuple(reversed(out))
 
+    def element_of(self, rank: int) -> "AbelianElement":
+        return AbelianElement(self.coords_of(rank), self)
+
+    def span(self, ranks: Iterable[int]) -> set[int]:
+        """Ranks of the subgroup that the elements of the given ranks generate."""
+        span = {self.zero()}
+        for x in map(self.element_of, ranks):
+            span = {s + x.scale(k) for s in span for k in range(x.order())}
+        return {v.rank() for v in span}
+
 
 @dataclass(frozen=True)
 class AbelianElement:
@@ -116,6 +127,10 @@ class AbelianElement:
     def scale(self, k: int) -> "AbelianElement":
         return AbelianElement(tuple(k * c for c in self.coords), self.profile)
 
+    def order(self) -> int:
+        """The lcm of m_i / gcd(c_i, m_i) over the coordinates."""
+        return math.lcm(*(m // math.gcd(c, m) for c, m in zip(self.coords, self.profile.moduli)))
+
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
@@ -124,6 +139,32 @@ class AbelianElement:
 
     def to_json_list(self) -> list[int]:
         return list(self.coords)
+
+
+@dataclass(frozen=True)
+class KernelSubgroup:
+    """A kernel subgroup in coordinates: its sorted element ranks (``v.rank()``;
+    ``profile.coords_of`` inverts it) and its generators by descending rank."""
+
+    profile: ModulusProfile
+    elements: tuple[int, ...]
+    generators: tuple[int, ...]
+
+    @classmethod
+    def of(cls, profile: ModulusProfile, ranks: Iterable[int]) -> "KernelSubgroup":
+        """The subgroup on the given ranks, generated as a table group's is."""
+        elements = tuple(sorted(ranks))
+        orders = {r: profile.element_of(r).order() for r in elements}
+        generators = _small_generating_subset(orders, elements, profile.span)
+        return cls(profile, elements, tuple(sorted(generators, reverse=True)))
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    def invariant_factors(self) -> tuple[int, ...]:
+        orders = [self.profile.element_of(r).order() for r in self.elements]
+        return invariant_factors_from_orders(orders)
 
 
 @dataclass(frozen=True)
@@ -248,31 +289,14 @@ def norm_matrix(m: MixedModulusMatrix, n: int) -> MixedModulusMatrix:
     return MixedModulusMatrix(tuple(tuple(row) for row in acc), m.profile)
 
 
-def _kernel_subgroup(profile: ModulusProfile, ranks: set[int]) -> Subgroup:
-    """The subgroup of ``abelian_group(profile.moduli)`` with the given element
-    ranks, its generators listed by descending rank (largest coordinates
-    first)."""
-    kernel = abelian_group(profile.moduli)
-    elements = tuple(sorted(ranks))
-    generators = sorted(_small_generating_subset(kernel, elements), reverse=True)
-    return Subgroup(kernel, elements, tuple(generators))
-
-
-def fixed_points(m: MixedModulusMatrix) -> Subgroup:
-    """All v with m(v) = v; a subgroup since the map is linear.
-
-    Returned as a subgroup of ``abelian_group(m.profile.moduli)``: element
-    index = ``v.rank()``, the last coordinate fastest (``profile.coords_of``
-    inverts it)."""
+def fixed_points(m: MixedModulusMatrix) -> KernelSubgroup:
+    """All v with m(v) = v; a subgroup since the map is linear.  Every
+    element of the kernel is tried, in coordinates."""
     fixed = {v.rank() for v in m.profile.elements() if mat_apply(m, v) == v}
-    return _kernel_subgroup(m.profile, fixed)
+    return KernelSubgroup.of(m.profile, fixed)
 
 
-def image_subgroup(m: MixedModulusMatrix) -> Subgroup:
-    """The image {m(v) : v in N} of a (not necessarily invertible) map.
-
-    Returned as a subgroup of ``abelian_group(m.profile.moduli)``: element
-    index = ``v.rank()``, the last coordinate fastest (``profile.coords_of``
-    inverts it)."""
-    image = {mat_apply(m, v).rank() for v in m.profile.elements()}
-    return _kernel_subgroup(m.profile, image)
+def image_subgroup(m: MixedModulusMatrix) -> KernelSubgroup:
+    """The image {m(v) : v in N} of a (not necessarily invertible) map: the
+    span of its columns, the images of the coordinate generators."""
+    return KernelSubgroup.of(m.profile, m.profile.span(map(m.profile.rank_of, zip(*m.entries))))

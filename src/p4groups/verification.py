@@ -258,8 +258,7 @@ def _transform_trials(t, g, count):
 
     trials = []
     for r in range(nsize - count, nsize):
-        x = profile.element(profile.coords_of(r))
-        trials.append(("shift_generator", lambda x=x: shift_generator(t, x),
+        trials.append(("shift_generator", lambda x=profile.element_of(r): shift_generator(t, x),
                        kernel + [g.mul(r, nsize)]))
     for i in [i for i in range(2, 5 * n) if math.gcd(i, n) == 1][:count]:
         trials.append(("power_substitute", lambda i=i: power_substitute(t, i),

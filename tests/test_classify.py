@@ -2,6 +2,7 @@
 full run at p = 3."""
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
@@ -25,7 +26,7 @@ from p4groups.classify import (
     verify_prop_abelian_subgroup,
     verify_prop_no_cyclic,
 )
-from p4groups import classify, extension, groups
+from p4groups import classify, cli, extension, groups, residues
 from p4groups.extension import ExtElement, ExtensionType, _relations_problem, build_group, multiply
 from p4groups.groups import abelian_group, fingerprint, isomorphic, order_census
 from p4groups.verification import run_verification_suite
@@ -34,9 +35,11 @@ from p4groups.residues import (
     AbelianElement,
     MixedModulusMatrix,
     ModulusProfile,
+    SHAPES,
     is_prime,
     mat_apply,
     mat_pow,
+    norm_matrix,
 )
 from test_acceptance import (
     EXPECTED_TABLE1_P3,
@@ -161,6 +164,22 @@ class TestVCandidates:
         assert v_label(prof.element((1, 0))) == "v-e1"
         assert v_label(prof.element((3, 0))) == "v-pe1"
         assert v_label(prof.element((0, 1))) == "v-e2"
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_the_orbit_definition(self, p):
+        # The orbits of Fix(tau)/Im(N) under scaling by the units, each
+        # represented by its least-rank member, in rank order.
+        taus = [tau for _, tau in tau_catalog(ClassifyConfig.for_prime(p))]
+        taus += [MixedModulusMatrix.identity(ModulusProfile(p, shape)) for shape in SHAPES]
+        units = [u for u in range(1, p * p) if u % p]
+        for tau in taus:
+            elements = list(tau.profile.elements())
+            fixed = {v for v in elements if mat_apply(tau, v) == v}
+            image = {mat_apply(norm_matrix(tau, p), v) for v in elements}
+            orbits = {frozenset(x.scale(u) + h for u in units for h in image) for x in fixed}
+            assert set().union(*orbits) == fixed
+            reps = sorted((min(o, key=AbelianElement.rank) for o in orbits), key=AbelianElement.rank)
+            assert v_candidates(tau) == reps
 
     def test_unfixed_candidate_names_its_tau(self, cfg3, monkeypatch):
         # (0, ..., 0, 1) is not fixed by the first catalog tau, 2x2-r1.
@@ -605,6 +624,53 @@ class TestStructuralProperties:
     def test_wrong_order_rejected(self):
         with pytest.raises(ValueError):
             verify_prop_abelian_subgroup(abelian_group([9]))
+
+
+class TestKernelWithoutTables:
+    """Fixed points, norm images and v candidates are worked out in the
+    kernel's coordinates, with no Cayley table of the kernel."""
+
+    def test_no_path_builds_a_kernel_table(self, monkeypatch, capsys):
+        # ``abelian_group`` makes its tables by ``_table_of_translates``.
+        real = groups._table_of_translates
+
+        def refuse_kernel(size, *args):
+            assert size != 27, "a kernel table was built"
+            return real(size, *args)
+        monkeypatch.setattr(groups, "_table_of_translates", refuse_kernel)
+        classify._tau_kernel.cache_clear()
+        cfg = ClassifyConfig.for_prime(3)
+        emit_table1(cfg)
+        assert [census_closed_form(c.ext) for c in candidate_types(cfg)]
+        for argv in (["classify", "--p", "3", "--format", "json"], ["tables", "--p", "3"],
+                     ["verify", "--p", "3"]):
+            classify._tau_kernel.cache_clear()
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert not hasattr(residues, "abelian_group") and not hasattr(residues, "Subgroup")
+
+    def test_p13_stays_under_5_mb(self):
+        cfg = ClassifyConfig.for_prime(13)
+        classify._tau_kernel.cache_clear()
+        tracemalloc.start()
+        try:
+            emit_table1(cfg)
+            for c in candidate_types(cfg):
+                census_closed_form(c.ext)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+
+    @pytest.mark.slow
+    def test_p41_finishes(self):
+        # A kernel table at p = 41 would have 41^3 = 68921 elements, past
+        # the 2^16 limit of a table.
+        cfg = ClassifyConfig.for_prime(41)
+        assert len(emit_table1(cfg)) == 7
+        cands = candidate_types(cfg)
+        assert len(cands) == 41 + 12
+        assert all(census_closed_form(c.ext) >= 41**2 for c in cands)
 
 
 class TestTable1:

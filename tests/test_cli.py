@@ -193,6 +193,20 @@ class TestConstructCommand:
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"error: {path}: {message}"]
 
+    @pytest.mark.parametrize("command", ["construct", "iso"])
+    def test_deeply_nested_json_is_one_line_error(self, capsys, tmp_path, command):
+        # json.load recurses once per array and runs out of stack here.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 2000 + "]" * 2000)
+        if command == "construct":
+            argv = ["construct", "--type", str(path)]
+        else:
+            argv = ["iso", write_type(tmp_path, "row1.json", ROW1), str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "recursion" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "construct", "--type", str(tmp_path / "absent.json"))
         assert code == 1

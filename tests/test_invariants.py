@@ -31,9 +31,9 @@ from p4groups.groups import (
     _generator_commutators,
     _respects_generators,
     _twist_count,
+    abelian_group,
     abelian_invariants,
     center,
-    cyclic_group,
     derived_subgroup,
     fingerprint,
     isomorphic,
@@ -424,7 +424,7 @@ def test_magma_without_inverse_raises():
 
 
 def broken_c5():
-    table = list(cyclic_group(5)._table)
+    table = list(abelian_group([5])._table)
     table[1 * 5 + 1] = 3  # break 1+1=2, keep every inverse
     return FiniteGroup(table, 5)
 
@@ -483,7 +483,7 @@ def test_every_single_entry_corruption_matches_the_definitions(make):
 def test_failure_with_a_middle_factor_outside_the_generators():
     # 1*1 = 0 in C5: the first failing triple is (1, 1, 2), and 1 is not
     # the generator that Light's test checks.
-    table = list(cyclic_group(5)._table)
+    table = list(abelian_group([5])._table)
     table[1 * 5 + 1] = 0
     g = FiniteGroup(table, 5)
     assert g.generating_sequence == (2,)
@@ -557,7 +557,7 @@ def test_light_check_reads_every_block_at_p7(x, block):
 def test_magma_whose_element_orders_raise_gets_a_report():
     # 1*1 = 1 in C5: the powers of 1 never reach 0, so element_orders (and
     # with it generating_sequence) raises, yet 1*4 = 4*1 = 0 is an inverse.
-    table = list(cyclic_group(5)._table)
+    table = list(abelian_group([5])._table)
     table[1 * 5 + 1] = 1
     g = FiniteGroup(table, 5)
     with pytest.raises(ValueError, match="generates no cyclic subgroup"):
@@ -567,7 +567,7 @@ def test_magma_whose_element_orders_raise_gets_a_report():
 
 
 def test_subgroup_generators_must_generate_its_elements():
-    g = cyclic_group(9)
+    g = abelian_group([9])
     with pytest.raises(ValueError, match="closure of its generators"):
         Subgroup(g, (0, 3, 6), ())
 

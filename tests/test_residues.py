@@ -6,7 +6,14 @@ from itertools import product
 
 import pytest
 
-from p4groups.groups import abelian_group, invariant_factors_from_orders
+from p4groups.classify import ClassifyConfig, tau_catalog
+from p4groups.groups import (
+    Subgroup,
+    _small_generating_subset,
+    abelian_group,
+    abelian_invariants,
+    invariant_factors_from_orders,
+)
 from p4groups.residues import (
     MixedModulusMatrix,
     ModulusProfile,
@@ -272,8 +279,8 @@ class TestFixedPoints:
         prof = mixed(5)
         m = mat([[1, 5], [1, 1]], prof)
         sub = fixed_points(m)
-        assert sub.parent.size == prof.order
-        assert set(sub.elements) == {v.rank() for v in prof.elements() if mat_apply(m, v) == v}
+        assert sub.profile == prof
+        assert sub.elements == tuple(sorted(v.rank() for v in prof.elements() if mat_apply(m, v) == v))
         assert list(sub.generators) == sorted(sub.generators, reverse=True)
 
     def test_identity_fixes_everything(self):
@@ -283,12 +290,11 @@ class TestFixedPoints:
     def test_closed_under_addition_and_negation(self):
         prof = mixed(5)
         sub = fixed_points(mat([[1, 5], [1, 1]], prof))
-        kernel = sub.parent
-        els = set(sub.elements)
+        els = {prof.element_of(r) for r in sub.elements}
         for a in els:
-            assert kernel.inv(a) in els
+            assert -a in els
             for b in els:
-                assert kernel.mul(a, b) in els
+                assert a + b in els
 
 
 class TestNormMatrix:
@@ -340,6 +346,58 @@ class TestImageSubgroup:
         m = mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]], prof)
         sub = image_subgroup(m)
         assert [prof.coords_of(g) for g in sub.generators] == [(1, 0, 0)]
+
+
+def table_reference(profile, ranks):
+    """Elements, generators (by descending rank) and invariant factors of the
+    subgroup on the given ranks, read from the kernel's Cayley table."""
+    kernel = abelian_group(profile.moduli)
+    elements = tuple(sorted(set(ranks)))
+    gens = _small_generating_subset(kernel.element_orders, elements, kernel.closure)
+    sub = Subgroup(kernel, elements, tuple(sorted(gens, reverse=True)))  # elements = closure
+    return sub.elements, sub.generators, abelian_invariants(sub)
+
+
+def reference_maps():
+    """Every catalog tau and its norm at p = 3, 5 and 7, and the matrices
+    of the tests above."""
+    for p in (3, 5, 7):
+        for name, tau in tau_catalog(ClassifyConfig.for_prime(p)):
+            yield f"{name}-p{p}", tau
+            yield f"{name}-p{p}-norm", norm_matrix(tau, p)
+    yield "shear", mat([[1, 3], [0, 1]], mixed(3))
+    yield "scaling", mat([[4, 0], [0, 1]], mixed(3))
+    yield "scaled-axis", mat([[3, 0], [0, 0]], mixed(3))
+    yield "twist-p5", mat([[1, 5], [1, 1]], mixed(5))
+    yield "corner", mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]], elem3(3))
+    yield "zero", MixedModulusMatrix.zero(mixed(3))
+    yield "identity", MixedModulusMatrix.identity(elem3(3))
+
+
+MAPS = dict(reference_maps())
+
+
+class TestKernelSubgroupsMatchTables:
+    """The coordinate subgroups against the kernel's Cayley table."""
+
+    @pytest.mark.parametrize("m", MAPS.values(), ids=MAPS.keys())
+    def test_fixed_points(self, m):
+        sub = fixed_points(m)
+        fixed = [v.rank() for v in m.profile.elements() if mat_apply(m, v) == v]
+        assert (sub.elements, sub.generators, sub.invariant_factors()) == table_reference(
+            m.profile, fixed)
+
+    @pytest.mark.parametrize("m", MAPS.values(), ids=MAPS.keys())
+    def test_image(self, m):
+        sub = image_subgroup(m)
+        image = [mat_apply(m, v).rank() for v in m.profile.elements()]
+        assert (sub.elements, sub.generators, sub.invariant_factors()) == table_reference(
+            m.profile, image)
+
+    def test_element_orders_match_the_table(self):
+        for prof in (mixed(5), elem3(3)):
+            orders = abelian_group(prof.moduli).element_orders
+            assert [v.order() for v in prof.elements()] == orders
 
 
 class TestInvariantFactors:
