@@ -84,16 +84,12 @@ def _check_bound(p: int) -> None:
         raise ValueError(f"p must be <= {MAX_PRIME}, got p={p}")
 
 
-def _is_nonresidue(n: int, p: int) -> bool:
-    """Euler's criterion: n is a quadratic nonresidue modulo the odd prime p."""
-    return pow(n, (p - 1) // 2, p) == p - 1
-
-
 def least_nonresidue(p: int) -> int:
-    """Least positive quadratic nonresidue modulo an odd prime."""
+    """Least positive quadratic nonresidue modulo an odd prime, by Euler's
+    criterion: n^((p-1)/2) = -1 mod p."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got p={p}")
-    return next(n for n in range(2, p) if _is_nonresidue(n, p))
+    return next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
 
 
 def tau_catalog(cfg: ClassifyConfig) -> list[tuple[str, MixedModulusMatrix]]:
@@ -229,7 +225,7 @@ def abelian_catalog(cfg: ClassifyConfig) -> list[tuple[str, tuple[int, ...]]]:
         (p, p, p * p),
         (p, p, p, p),
     ]
-    return [("abelian-" + "x".join(f"C{d}" for d in reversed(chain)), chain) for chain in chains]
+    return [("abelian-" + _fmt_chain(chain), chain) for chain in chains]
 
 
 def abelian_fingerprint(chain: Sequence[int]) -> Fingerprint:
@@ -352,7 +348,7 @@ def _class_plan(cfg: ClassifyConfig, candidates: Sequence[CandidateType]) -> tup
     """
     tau_names = [name for name, _ in tau_catalog(cfg)]
     maps = _merge_maps(cfg.p)
-    p = cfg.p
+    mixed = cfg.mixed_profile  # every target's kernel
     plan: dict[tuple, tuple[CandidateType, list]] = {}  # keyed like _merge_maps
     failures = []
     for cand in sorted(candidates, key=lambda c: c.catalog_pos):
@@ -362,7 +358,7 @@ def _class_plan(cfg: ClassifyConfig, candidates: Sequence[CandidateType]) -> tup
             continue
         target, images = maps[key]
         if target in plan:
-            plan[target][1].append((cand, [i * p ** 3 + x1 * p + x2 for x1, x2, i in images]))
+            plan[target][1].append((cand, [mixed.rank_of(x) + i * mixed.order for *x, i in images]))
         else:
             failures.append((cand.catalog_pos, f"{cand.label}: merge target {target[0]} "
                                                f"v={target[1]} is not a candidate"))
@@ -436,7 +432,7 @@ def _merge_maps(p: int) -> dict:
     catalog tau name and v coordinates.  Each value is the (tau name, v) of
     the class the candidate joins, on the mixed kernel, and the images of
     the candidate's generators e_1, ..., e_k, a in that type's floor form,
-    each (x1, x2, i) for ((x1, x2), a^i), at index i*p^3 + x1*p + x2 of
+    each (x1, x2, i) for ((x1, x2), a^i), at index i*p^3 + rank((x1, x2)) of
     that type's table.  Every a goes to e_1 = (1, 0; 0), of order p^2.  The
     p + 1 maps from 3x3-J2 cross from the C_p^3 kernel to C_p^2 x C_p, which
     no move on the kernel reaches."""
@@ -541,10 +537,7 @@ def emit_table1(cfg: ClassifyConfig) -> list[Table1Row]:
     rows = []
     for tau_name, tau in tau_catalog(cfg):
         k = _tau_kernel(tau)
-        if tau_name == "3x3-J2":
-            choices: tuple[AbelianElement, ...] = (tau.profile.zero(),)
-        else:
-            choices = k.v_choices
+        choices = (tau.profile.zero(),) if tau_name == "3x3-J2" else k.v_choices
         rows.append(Table1Row(tau_name, tau, k.fixed, k.norm, k.image, choices))
     return rows
 
@@ -602,6 +595,11 @@ def _fmt_vec(coords: Sequence[int]) -> str:
     return "(" + ",".join(map(str, coords)) + ")"
 
 
+def _fmt_chain(chain: Sequence[int]) -> str:
+    """An invariant chain d1 | ... | dk as C_dk x ... x C_d1; the trivial one as 1."""
+    return "x".join(f"C{d}" for d in reversed(chain)) or "1"
+
+
 def _fmt_gens(s: KernelSubgroup) -> str:
     """Generators of a kernel subgroup as coordinates; the trivial one as <0>."""
     return "<" + ", ".join(_fmt_vec(s.profile.coords_of(g)) for g in s.generators or (0,)) + ">"
@@ -628,7 +626,7 @@ def render_table2(cfg: ClassifyConfig) -> str:
         [
             f"{row.tau_label} {_fmt_matrix(row.tau)}",
             _fmt_vec(row.v.coords),
-            "x".join(f"C{d}" for d in reversed(row.center_invariants)),
+            _fmt_chain(row.center_invariants),
             str(row.census_le_p),
         ]
         for row in emit_table2(cfg)

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from .classify import (
     ClassificationError,
     ClassifyConfig,
+    _fmt_chain,
     candidate_types,
     classify_p4,
     render_table1,
@@ -93,11 +94,7 @@ def _csv_cell(value: object) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     cfg = _guarded_config(args)
-    try:
-        result = classify_p4(cfg, candidate_types(cfg))
-    except ClassificationError as exc:
-        print(f"classification failed: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    result = classify_p4(cfg, candidate_types(cfg))
 
     if args.format == "json":
         print(json.dumps(result.to_json_dict(), indent=2))
@@ -111,9 +108,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         for cls in result.classes:
             fp = cls.fingerprint
             merged = f"  (merged: {', '.join(cls.merged_labels)})" if cls.merged_labels else ""
-            center = "x".join(f"C{d}" for d in reversed(fp.center_invariants)) or "1"
             print(
-                f"  {cls.label:24s} center={center:12s} "
+                f"  {cls.label:24s} center={_fmt_chain(fp.center_invariants):12s} "
                 f"#order<=p={fp.census_le_p}{merged}"
             )
         print(
@@ -156,12 +152,7 @@ def cmd_iso(args: argparse.Namespace) -> int:
 
 def cmd_tables(args: argparse.Namespace) -> int:
     cfg = _guarded_config(args)
-    try:
-        tables = [render_table1(cfg), render_table2(cfg)]
-    except ClassificationError as exc:
-        print(f"classification failed: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    print("\n\n".join(tables))
+    print("\n\n".join([render_table1(cfg), render_table2(cfg)]))
     return EXIT_OK
 
 
@@ -235,6 +226,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ClassificationError as exc:  # classify and tables; verify reports its own
+        print(f"classification failed: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 def entry() -> None:

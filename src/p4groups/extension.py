@@ -19,11 +19,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .groups import FiniteGroup, _check_order, _gather, _rotated, _table_of_translates
+from .groups import FiniteGroup, _check_order, _gather, _table_of_translates
 from .residues import (
     AbelianElement,
     MixedModulusMatrix,
     ModulusProfile,
+    _linear_ranks,
+    _plus_ranks,
     mat_apply,
     mat_inverse,
     mat_mul,
@@ -187,38 +189,6 @@ def build_group(t: ExtensionType) -> FiniteGroup:
     return _table_of_translates(size, profile.moduli, cosets)
 
 
-def _plus_ranks(profile: ModulusProfile, x: tuple[int, ...]) -> array:
-    """rank(y + x) by rank y, for reduced coordinates x: the identity row
-    rotated once per coordinate of x."""
-    row = array("i", range(profile.order))
-    stride = profile.order
-    for c, m in zip(x, profile.moduli):
-        stride //= m
-        row = _rotated(row, c * stride, m * stride)
-    return row
-
-
-def _linear_ranks(m: MixedModulusMatrix) -> tuple[int, ...]:
-    """rank(m·y) by rank y, from the columns of m.
-
-    The coordinates are taken last first.  With ranks the list of rank(m·z)
-    over the values z of the later coordinates, the values of coordinate k
-    prepend to it: the block for y_k = t is the block for t - 1 gathered
-    through rank(. + col_k), so each layer is gathers of one rotated row.
-    """
-    profile = m.profile
-    ranks: tuple[int, ...] = (0,)
-    for k in reversed(range(profile.rank)):
-        plus_col = _plus_ranks(profile, tuple(row[k] for row in m.entries))
-        layer = ranks
-        out: list[int] = []
-        for _ in range(profile.moduli[k]):
-            out += layer
-            layer = _gather(plus_col, layer)
-        ranks = tuple(out)
-    return ranks
-
-
 def _relations_problem(t, images, g) -> str:
     """The first defining relation of type t that the images fail, else "".
 
@@ -288,6 +258,11 @@ def _basis(profile):
     """The kernel's basis e_1, ..., e_k, the unit coordinate vectors."""
     return [profile.element([int(j == k) for j in range(profile.rank)])
             for k in range(profile.rank)]
+
+
+def _standard_images(profile):
+    """Indices of e_1, ..., e_k and a in ``build_group``'s tables: rank(e_k), |N|."""
+    return [x.rank() for x in _basis(profile)] + [profile.order]
 
 
 # ---------------------------------------------------------------------------

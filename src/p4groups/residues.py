@@ -12,11 +12,13 @@ generators worked out in coordinates, with no Cayley table of the kernel.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .groups import _small_generating_subset, invariant_factors_from_orders, prime_factors
+from .groups import _gather, _rotated, _small_generating_subset
+from .groups import invariant_factors_from_orders, prime_factors
 
 MAX_PRIME = 97
 
@@ -289,11 +291,44 @@ def norm_matrix(m: MixedModulusMatrix, n: int) -> MixedModulusMatrix:
     return MixedModulusMatrix(tuple(tuple(row) for row in acc), m.profile)
 
 
+def _plus_ranks(profile: ModulusProfile, x: tuple[int, ...]) -> array:
+    """rank(y + x) by rank y, for reduced coordinates x: the identity row
+    rotated once per coordinate of x."""
+    row = array("i", range(profile.order))
+    stride = profile.order
+    for c, m in zip(x, profile.moduli):
+        stride //= m
+        row = _rotated(row, c * stride, m * stride)
+    return row
+
+
+def _linear_ranks(m: MixedModulusMatrix) -> tuple[int, ...]:
+    """rank(m·y) by rank y, from the columns of m.
+
+    The coordinates are taken last first.  With ranks the list of rank(m·z)
+    over the values z of the later coordinates, the values of coordinate k
+    prepend to it: the block for y_k = t is the block for t - 1 gathered
+    through rank(. + col_k), so each layer is gathers of one rotated row.
+    """
+    profile = m.profile
+    ranks: tuple[int, ...] = (0,)
+    for k in reversed(range(profile.rank)):
+        plus_col = _plus_ranks(profile, tuple(row[k] for row in m.entries))
+        layer = ranks
+        out: list[int] = []
+        for _ in range(profile.moduli[k]):
+            out += layer
+            layer = _gather(plus_col, layer)
+        ranks = tuple(out)
+    return ranks
+
+
 def fixed_points(m: MixedModulusMatrix) -> KernelSubgroup:
-    """All v with m(v) = v; a subgroup since the map is linear.  Every
-    element of the kernel is tried, in coordinates."""
-    fixed = {v.rank() for v in m.profile.elements() if mat_apply(m, v) == v}
-    return KernelSubgroup.of(m.profile, fixed)
+    """All v with m(v) = v, a subgroup as the map is linear: the ranks that
+    ``_linear_ranks`` keeps.  ``build_group`` reads tau through that map, so
+    verify's table2-reverification (a table's center against Fix(tau))
+    shares its code; the tests check it against ``mat_apply``."""
+    return KernelSubgroup.of(m.profile, [y for y, z in enumerate(_linear_ranks(m)) if y == z])
 
 
 def image_subgroup(m: MixedModulusMatrix) -> KernelSubgroup:

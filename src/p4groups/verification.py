@@ -44,6 +44,7 @@ from .extension import (
     _basis,
     _inverse,
     _relations_problem,
+    _standard_images,
     conjugate_type,
     norm_apply,
     power_substitute,
@@ -166,9 +167,7 @@ def _axioms_problem(c, g) -> str:
     report = verify_group_axioms(g)
     if not report.ok:
         return f"{report.failure}"
-    profile = c.ext.profile
-    standard = [x.rank() for x in _basis(profile)] + [profile.order]
-    return _relations_problem(c.ext, standard, g)
+    return _relations_problem(c.ext, _standard_images(c.ext.profile), g)
 
 
 def _power_norm_problem(c, g) -> str:
@@ -244,25 +243,23 @@ def _transforms_problem(c, g, count) -> str:
 def _transform_trials(t, g, count):
     """(transform name, thunk returning the transformed type, images in g of
     the transformed type's generators) for count parameters of each kind;
-    g is the group of t, numbered as ``build_group`` does, so e_k has index
-    rank(e_k) and a has index |N|.  No parameter is the identity: exponents
+    g is the group of t, numbered as ``build_group`` does
+    (``_standard_images``).  No parameter is the identity: exponents
     start at 2, the scalars are the units of Z/e other than 1, e the
     kernel's exponent, and the automorphism pool has no identity.  The
     shifts are the last kernel elements in rank order, whose first
     coordinate is a unit; on the mixed kernel their norm is nonzero for most
     catalog tau, so v moves."""
     profile, n = t.profile, t.n
-    nsize = profile.order
-    basis = _basis(profile)
-    kernel = [x.rank() for x in basis]
+    *kernel, a = _standard_images(profile)
 
     trials = []
-    for r in range(nsize - count, nsize):
+    for r in range(profile.order - count, profile.order):
         trials.append(("shift_generator", lambda x=profile.element_of(r): shift_generator(t, x),
-                       kernel + [g.mul(r, nsize)]))
+                       kernel + [g.mul(r, a)]))
     for i in [i for i in range(2, 5 * n) if math.gcd(i, n) == 1][:count]:
         trials.append(("power_substitute", lambda i=i: power_substitute(t, i),
-                       kernel + [g.power(nsize, i)]))
+                       kernel + [g.power(a, i)]))
     # The scalar automorphism i*I commutes with tau, so conjugating by it
     # takes v to i*v alone: the scaling orbits of ``v_candidates``.
     scalars = [MixedModulusMatrix.scalar(profile, i) for i in range(2, max(profile.moduli))
@@ -270,7 +267,7 @@ def _transform_trials(t, g, count):
     for phi in scalars + _kernel_automorphisms(profile)[:count]:
         phi_inverse = _inverse(phi)
         trials.append(("conjugate_type", lambda phi=phi: conjugate_type(t, phi),
-                       [mat_apply(phi_inverse, x).rank() for x in basis] + [nsize]))
+                       [mat_apply(phi_inverse, x).rank() for x in _basis(profile)] + [a]))
     return trials
 
 

@@ -662,15 +662,15 @@ class TestKernelWithoutTables:
             tracemalloc.stop()
         assert peak < 5_000_000
 
-    @pytest.mark.slow
-    def test_p41_finishes(self):
+    @pytest.mark.parametrize("p", [41, 97])
+    def test_large_p_finishes(self, p):
         # A kernel table at p = 41 would have 41^3 = 68921 elements, past
-        # the 2^16 limit of a table.
-        cfg = ClassifyConfig.for_prime(41)
+        # the 2^16 limit of a table; Fix(tau) comes from the rank map.
+        cfg = ClassifyConfig.for_prime(p)
         assert len(emit_table1(cfg)) == 7
         cands = candidate_types(cfg)
-        assert len(cands) == 41 + 12
-        assert all(census_closed_form(c.ext) >= 41**2 for c in cands)
+        assert len(cands) == p + 12
+        assert all(census_closed_form(c.ext) >= p**2 for c in cands)
 
 
 class TestTable1:

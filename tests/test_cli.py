@@ -1,9 +1,14 @@
 """Command-line surface: exit codes, output formats, and schema round-trips."""
 
+import contextlib
+import io
 import json
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import p4groups
 from p4groups import classify, extension, groups, verification
@@ -283,6 +288,68 @@ class TestIsoCommand:
         assert code == 1
         assert err
 
+
+
+# Arbitrary JSON values: nested arrays and objects over null, booleans,
+# integers, floats (NaN and infinities included) and strings.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=4),
+    max_leaves=12,
+)
+# A whole record, or ROW1 with one field replaced.
+TYPE_RECORDS = JSON_VALUES | st.builds(lambda field, value: {**ROW1, field: value},
+                                       st.sampled_from(sorted(ROW1)), JSON_VALUES)
+
+
+def run_type_file(tmp_dir, command, text):
+    """main on a type file holding text, for construct or for iso against
+    ROW1: (exit code, stdout, stderr), with any exception out of main
+    left to fail the test."""
+    path = tmp_dir / "fuzz.json"
+    path.write_text(text)
+    if command == "construct":
+        argv = ["construct", "--type", str(path)]
+    else:
+        argv = ["iso", str(path), write_type(tmp_dir, "row1.json", ROW1)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestTypeFileFuzz:
+    """Any JSON in a type file ends in a documented exit code: 0 or 3 with
+    nothing on stderr, or 1 or 2 with exactly one ``error:`` line."""
+
+    @pytest.mark.parametrize("command", ["construct", "iso"])
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(record=TYPE_RECORDS)
+    def test_any_json_value(self, tmp_path, command, record):
+        code, _, err = run_type_file(tmp_path, command, json.dumps(record))
+        assert code in (0, 1, 2, 3)
+        if code in (1, 2):
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize("command", ["construct", "iso"])
+    def test_huge_integer_is_one_line_error(self, tmp_path, command):
+        # json.load refuses to convert an integer of more than 4300 digits.
+        text = json.dumps({**ROW1, "n": 0}).replace('"n": 0', '"n": ' + "1" * 5000)
+        code, out, err = run_type_file(tmp_path, command, text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "4300 digits" in err
+
+    @pytest.mark.parametrize("command", ["construct", "iso"])
+    def test_nan_in_tau_is_one_line_error(self, tmp_path, command):
+        text = json.dumps({**ROW1, "tau": [[1, math.nan], [0, 1]]})
+        code, out, err = run_type_file(tmp_path, command, text)
+        assert (code, out) == (1, "")
+        assert err == f"error: {tmp_path / 'fuzz.json'}: tau entry must be an integer, got nan\n"
 
 
 @pytest.mark.parametrize("argv", [["construct", "--type", "{a}"], ["iso", "{a}", "{b}"]])

@@ -9,7 +9,6 @@ import pytest
 from p4groups.extension import (
     ExtElement,
     ExtensionType,
-    _linear_ranks,
     _relations_problem,
     _words,
     build_group,
@@ -21,7 +20,7 @@ from p4groups.extension import (
 )
 from p4groups.classify import ClassifyConfig, candidate_types, tau_catalog
 from p4groups.groups import abelian_group, abelian_invariants, isomorphic, subgroup_generated
-from p4groups.residues import MixedModulusMatrix, ModulusProfile, mat_apply, mat_pow
+from p4groups.residues import MixedModulusMatrix, ModulusProfile, _linear_ranks, mat_apply, mat_pow
 from p4groups.verification import _kernel_automorphisms, _transform_trials
 
 

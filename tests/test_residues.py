@@ -2,6 +2,7 @@
 norm matrices and images."""
 
 import math
+import random
 from itertools import product
 
 import pytest
@@ -15,6 +16,7 @@ from p4groups.groups import (
     invariant_factors_from_orders,
 )
 from p4groups.residues import (
+    KernelSubgroup,
     MixedModulusMatrix,
     ModulusProfile,
     fixed_points,
@@ -295,6 +297,48 @@ class TestFixedPoints:
             assert -a in els
             for b in els:
                 assert a + b in els
+
+
+def random_maps(seed, count):
+    """Seeded random matrices of both shapes at p <= 11, automorphisms or not."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice((3, 5, 7, 11))
+        profile = ModulusProfile(p, rng.choice(("p2xp", "pxpxp")))
+        rows = [[rng.randrange(m) for _ in profile.moduli] for m in profile.moduli]
+        if profile.shape == "p2xp":
+            rows[0][1] = p * rng.randrange(p)
+        yield mat(rows, profile)
+
+
+CATALOG_TAUS = {f"{name}-p{p}": tau for p in (3, 5, 7, 11, 13)
+                for name, tau in tau_catalog(ClassifyConfig.for_prime(p))}
+
+
+class TestFixedPointsDefinition:
+    """fixed_points against its definition, one mat_apply per element."""
+
+    @staticmethod
+    def reference(m):
+        return KernelSubgroup.of(m.profile, {v.rank() for v in m.profile.elements()
+                                             if mat_apply(m, v) == v})
+
+    @pytest.mark.parametrize("tau", CATALOG_TAUS.values(), ids=CATALOG_TAUS.keys())
+    def test_catalog(self, tau):
+        assert fixed_points(tau) == self.reference(tau)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_maps(self, seed):
+        for m in random_maps(seed, 40):
+            assert fixed_points(m) == self.reference(m), m
+
+    def test_does_not_enumerate_the_kernel(self, monkeypatch):
+        def refuse(profile):
+            raise AssertionError("fixed_points enumerated the kernel")
+
+        monkeypatch.setattr(ModulusProfile, "elements", refuse)
+        for tau in CATALOG_TAUS.values():
+            assert fixed_points(tau).order in (tau.profile.p ** 2, tau.profile.p)
 
 
 class TestNormMatrix:
